@@ -1,12 +1,11 @@
-//! Criterion microbenchmarks of the PR-5 hot paths: wire encoding with
-//! and without buffer reuse, and the quadratic scan vs the spatial-hash
-//! grid for interest management.
+//! Criterion microbenchmarks of the tick's hot paths: wire encoding with
+//! and without writer reuse, and the spatial-hash grid the interest phase
+//! runs, with the literal quadratic scan as the comparison baseline.
 //!
 //! The grid numbers quantify the host-CPU win of [`rtfdemo::AoiGrid`];
 //! the *virtual* cost charged to the scalability model stays quadratic
-//! either way (see `DESIGN.md`).
+//! (see `DESIGN.md`).
 
-use bytes::BytesMut;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtf_core::entity::{Rect, UserId, Vec2};
 use rtf_core::event::Packet;
@@ -28,14 +27,12 @@ fn bench_wire_roundtrip(c: &mut Criterion) {
     let encoded = pkt.to_bytes();
     let mut group = c.benchmark_group("hotpath/wire");
     group.bench_function("encode_fresh", |b| b.iter(|| black_box(&pkt).to_bytes()));
-    group.bench_function("encode_reused_buffer", |b| {
-        let mut buf = BytesMut::with_capacity(256);
+    group.bench_function("encode_reused_writer", |b| {
+        let mut w = WireWriter::with_capacity(256);
         b.iter(|| {
-            let mut w = WireWriter::with_buf(std::mem::take(&mut buf));
+            w.clear();
             black_box(&pkt).encode(&mut w);
-            let (frame, rest) = w.finish_reusing();
-            buf = rest;
-            frame
+            w.copy_frame()
         })
     });
     group.bench_function("roundtrip", |b| {
@@ -65,20 +62,17 @@ fn dense_world(n: u64) -> (World, Vec<(UserId, Vec2)>) {
     (world, avatars)
 }
 
-fn bench_aoi_backends(c: &mut Criterion) {
+fn bench_aoi(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath/aoi");
     for n in [64u64, 512, 4096] {
         let (world, avatars) = dense_world(n);
-        // One observer's query: the per-user cost inside a server tick.
-        group.bench_with_input(BenchmarkId::new("quadratic", n), &n, |b, _| {
+        // The oracle: one observer's literal scan.
+        group.bench_with_input(BenchmarkId::new("quadratic_baseline", n), &n, |b, _| {
             let (observer, pos) = avatars[0];
             b.iter(|| compute_aoi(&world, observer, black_box(&pos), avatars.iter().copied()))
         });
-        // Grid equivalent including its amortized share of the rebuild:
-        // one rebuild serves every observer of the tick, so a full tick
-        // is rebuild + n queries. Benchmark that whole tick divided by
-        // the iteration giving per-tick numbers comparable to running
-        // the quadratic scan n times.
+        // What a server tick runs: one rebuild serves every observer, so
+        // a full tick is one rebuild + n queries, against n literal scans.
         group.bench_with_input(BenchmarkId::new("grid_query", n), &n, |b, _| {
             let mut grid = AoiGrid::default();
             grid.rebuild(&world, &avatars);
@@ -93,5 +87,5 @@ fn bench_aoi_backends(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wire_roundtrip, bench_aoi_backends);
+criterion_group!(benches, bench_wire_roundtrip, bench_aoi);
 criterion_main!(benches);

@@ -1,13 +1,11 @@
 //! `scale` — large-session throughput of the parallel deterministic tick
 //! engine.
 //!
-//! Sweeps session size × worker threads (and, at 10 k users, the
-//! quadratic-vs-grid interest-management backends) over the same
-//! simulated deployment, reporting wall-clock throughput and the trace
-//! digest of every run. Because the engine is deterministic by
-//! construction, every run of one configuration — any thread count,
-//! either AoI backend — must produce the same digest; the digests are in
-//! the JSON so CI can assert it.
+//! Sweeps session size × worker threads over the same simulated
+//! deployment, reporting wall-clock throughput and the trace digest of
+//! every run. Because the engine is deterministic by construction, every
+//! run of one configuration — any thread count — must produce the same
+//! digest; the digests are in the JSON so CI can assert it.
 //!
 //! Modes:
 //! * sweep (default): users ∈ {1 k, 10 k, 100 k} × threads ∈ {1, N},
@@ -16,7 +14,7 @@
 //!   `perf-smoke` job runs this twice (1 and N threads) and diffs.
 //!
 //! Flags: `--seed`, `--ticks`, `--json` (shared), plus `--users N`,
-//! `--threads N`, `--aoi quad|grid`.
+//! `--threads N`.
 //!
 //! The deployment scales with the session: the arena side grows as
 //! `1000·√(users/300)` so avatar density (and therefore AoI overlap)
@@ -31,7 +29,7 @@ use roia_obs::Tracer;
 use roia_sim::{Cluster, ClusterConfig};
 use rtf_core::entity::Rect;
 use rtf_rms::ResourcePool;
-use rtfdemo::{AoiBackend, CostRates, World};
+use rtfdemo::{CostRates, World};
 use std::time::Instant;
 
 /// Users per provisioned server at session start.
@@ -45,14 +43,12 @@ struct RunConfig {
     users: u64,
     ticks: u64,
     threads: usize,
-    aoi: AoiBackend,
 }
 
 struct RunResult {
     users: u64,
     ticks: u64,
     threads: usize,
-    aoi: &'static str,
     servers_start: u32,
     servers_end: u32,
     wall_s: f64,
@@ -61,13 +57,6 @@ struct RunResult {
     violations: u64,
     digest: u64,
     trace_events: u64,
-}
-
-fn aoi_name(aoi: AoiBackend) -> &'static str {
-    match aoi {
-        AoiBackend::Quadratic => "quad",
-        AoiBackend::Grid => "grid",
-    }
 }
 
 fn run_once(rc: &RunConfig) -> RunResult {
@@ -83,7 +72,6 @@ fn run_once(rc: &RunConfig) -> RunResult {
     let config = ClusterConfig {
         seed: rc.seed,
         threads: rc.threads,
-        aoi_backend: rc.aoi,
         world: World {
             bounds: Rect::square(side),
             ..World::default()
@@ -110,7 +98,6 @@ fn run_once(rc: &RunConfig) -> RunResult {
         users: rc.users,
         ticks: rc.ticks,
         threads: rc.threads,
-        aoi: aoi_name(rc.aoi),
         servers_start: servers,
         servers_end: cluster.server_count(),
         wall_s,
@@ -127,7 +114,6 @@ fn result_json(r: &RunResult) -> String {
         ("users", json::uint(r.users)),
         ("ticks", json::uint(r.ticks)),
         ("threads", json::uint(r.threads as u64)),
-        ("aoi", json::string(r.aoi)),
         ("servers_start", json::uint(r.servers_start as u64)),
         ("servers_end", json::uint(r.servers_end as u64)),
         ("wall_s", json::num(r.wall_s)),
@@ -141,11 +127,10 @@ fn result_json(r: &RunResult) -> String {
 
 fn print_run(r: &RunResult) {
     println!(
-        "users={} threads={} aoi={} ticks={} wall={:.2}s ticks/s={:.2} \
+        "users={} threads={} ticks={} wall={:.2}s ticks/s={:.2} \
          user·ticks/s={:.0} servers={}→{} digest={:016x}",
         r.users,
         r.threads,
-        r.aoi,
         r.ticks,
         r.wall_s,
         r.ticks_per_s,
@@ -159,7 +144,6 @@ fn print_run(r: &RunResult) {
 fn main() {
     let mut users: Option<u64> = None;
     let mut threads: Option<usize> = None;
-    let mut aoi: Option<AoiBackend> = None;
     let args = cli::parse_with(|flag, value| match flag {
         "--users" => {
             users = Some(
@@ -177,14 +161,6 @@ fn main() {
             );
             true
         }
-        "--aoi" => {
-            aoi = Some(match value("--aoi").as_str() {
-                "quad" => AoiBackend::Quadratic,
-                "grid" => AoiBackend::Grid,
-                other => panic!("--aoi must be quad or grid, got {other}"),
-            });
-            true
-        }
         _ => false,
     });
     let seed = args.seed.unwrap_or(42);
@@ -200,7 +176,6 @@ fn main() {
             users,
             ticks: args.ticks.unwrap_or(100),
             threads: threads.unwrap_or(1),
-            aoi: aoi.unwrap_or(AoiBackend::Grid),
         };
         let r = run_once(&rc);
         print_run(&r);
@@ -214,37 +189,17 @@ fn main() {
         return;
     }
 
-    // Sweep mode: session size × thread count, plus the AoI-backend
-    // comparison at 10 k users.
+    // Sweep mode: session size × thread count.
     let mut plan: Vec<RunConfig> = Vec::new();
-    for threads in [1, fan_out] {
-        plan.push(RunConfig {
-            seed,
-            users: 1_000,
-            ticks: args.ticks.unwrap_or(120),
-            threads,
-            aoi: AoiBackend::Quadratic,
-        });
-    }
-    for aoi in [AoiBackend::Quadratic, AoiBackend::Grid] {
+    for (users, ticks) in [(1_000, 120), (10_000, 30), (100_000, 10)] {
         for threads in [1, fan_out] {
             plan.push(RunConfig {
                 seed,
-                users: 10_000,
-                ticks: args.ticks.unwrap_or(30),
+                users,
+                ticks: args.ticks.unwrap_or(ticks),
                 threads,
-                aoi,
             });
         }
-    }
-    for threads in [1, fan_out] {
-        plan.push(RunConfig {
-            seed,
-            users: 100_000,
-            ticks: args.ticks.unwrap_or(10),
-            threads,
-            aoi: AoiBackend::Grid,
-        });
     }
 
     let mut results: Vec<RunResult> = Vec::new();
@@ -255,26 +210,18 @@ fn main() {
     }
 
     // Derived headline numbers.
-    let find = |users: u64, threads: usize, aoi: &str| {
+    let find = |users: u64, threads: usize| {
         results
             .iter()
-            .find(|r| r.users == users && r.threads == threads && r.aoi == aoi)
+            .find(|r| r.users == users && r.threads == threads)
     };
-    let speedup = |users: u64, aoi: &str| -> Option<f64> {
-        let serial = find(users, 1, aoi)?;
-        let fanned = find(users, fan_out, aoi)?;
-        Some(serial.wall_s / fanned.wall_s)
-    };
-    let grid_vs_quad_10k = match (find(10_000, 1, "quad"), find(10_000, 1, "grid")) {
-        (Some(q), Some(g)) => Some(q.wall_s / g.wall_s),
-        _ => None,
-    };
-    for (users, aoi) in [(10_000, "quad"), (10_000, "grid"), (100_000, "grid")] {
-        if let (Some(serial), Some(fanned)) = (find(users, 1, aoi), find(users, fan_out, aoi)) {
+    let speedup =
+        |users: u64| -> Option<f64> { Some(find(users, 1)?.wall_s / find(users, fan_out)?.wall_s) };
+    for users in [1_000, 10_000, 100_000] {
+        if let (Some(serial), Some(fanned)) = (find(users, 1), find(users, fan_out)) {
             assert_eq!(
                 serial.digest, fanned.digest,
-                "serial and {}-thread traces diverged at {} users ({})",
-                fan_out, users, aoi
+                "serial and {fan_out}-thread traces diverged at {users} users"
             );
         }
     }
@@ -288,16 +235,12 @@ fn main() {
         ("fan_out_threads", json::uint(fan_out as u64)),
         ("runs", format!("[{}]", runs.join(", "))),
         (
-            "speedup_10k_quad",
-            speedup(10_000, "quad").map_or("null".into(), json::num),
+            "speedup_10k",
+            speedup(10_000).map_or("null".into(), json::num),
         ),
         (
-            "speedup_100k_grid",
-            speedup(100_000, "grid").map_or("null".into(), json::num),
-        ),
-        (
-            "grid_vs_quad_10k",
-            grid_vs_quad_10k.map_or("null".into(), json::num),
+            "speedup_100k",
+            speedup(100_000).map_or("null".into(), json::num),
         ),
     ]);
     cli::write_json_doc(args.json.as_deref(), Some("BENCH_scale.json"), &doc);

@@ -13,11 +13,14 @@
 //! literally and reports the work units so the calibrated cost model can
 //! charge virtual time proportionally.
 //!
-//! [`AoiGrid`] is the wall-clock fast path for large sessions: a uniform
-//! spatial hash that returns the *same* visible set as the literal scan
-//! while synthesizing the same work-unit counters, so the virtual cost
-//! charged to `t_aoi` (and therefore every trace and report) is unchanged
-//! — only the host CPU time drops from O(n²) to O(n + v log v) per tick.
+//! That literal scan, [`compute_aoi`], is the *oracle*: tests and the
+//! performance ledger compare against it, and the cost model bills its
+//! work units. What a server executes is [`AoiGrid`], a uniform spatial
+//! hash that finds the *same* visible set in O(n + v log v) per tick
+//! instead of O(n²); the work units of the literal scan follow from the
+//! population and the visible-set size in closed form, so the virtual
+//! cost charged to `t_aoi` (and therefore every trace and report) stays
+//! the paper's quadratic.
 
 use crate::world::World;
 use rtf_core::entity::{UserId, Vec2};
@@ -74,11 +77,10 @@ const MAX_GRID_DIM: usize = 128;
 /// Uniform spatial hash over the world bounds, rebuilt once per tick and
 /// queried once per observer.
 ///
-/// Equivalence contract (pinned by tests and `tests/props.rs`-style
-/// proptests): for an input with unique user ids — the only shape the
-/// map-backed callers produce — [`AoiGrid::query`] returns exactly the
-/// [`AoiResult`] that [`compute_aoi`] returns for the same avatars
-/// iterated in ascending id order:
+/// Equivalence contract (pinned by tests and `tests/props.rs`): for an
+/// input with unique user ids in ascending order — the shape the sorted
+/// avatar table produces — [`AoiGrid::query`] returns exactly the
+/// [`AoiResult`] that [`compute_aoi`] returns for the same avatars:
 ///
 /// * `visible` is identical — cell size ≥ `aoi_radius`, so the 3×3
 ///   neighbourhood covers every point within the radius, and candidates
@@ -87,9 +89,9 @@ const MAX_GRID_DIM: usize = 128;
 /// * `pairs_checked` is the caller-supplied scan count (all avatars
 ///   except the observer — the literal algorithm checks each exactly
 ///   once);
-/// * `dedup_scans` is `v·(v−1)/2` for `v` visible users — with unique
-///   ids the literal dedup scan never finds a duplicate, so the k-th
-///   subscription walks the full k-entry list.
+/// * `dedup_scans` is [`dedup_scans_for`] of the visible count — with
+///   unique ids the literal dedup scan never finds a duplicate, so the
+///   k-th subscription walks the full k-entry list.
 #[derive(Debug, Default, Clone)]
 pub struct AoiGrid {
     cols: usize,
@@ -97,10 +99,20 @@ pub struct AoiGrid {
     cell: f32,
     min: Vec2,
     /// CSR layout: `entries[starts[c]..starts[c + 1]]` are the avatars in
-    /// cell `c`. Both vectors keep their capacity across rebuilds.
+    /// cell `c`, each as (index into the rebuilt slice, position). All
+    /// vectors keep their capacity across rebuilds.
     starts: Vec<usize>,
-    entries: Vec<(UserId, Vec2)>,
+    entries: Vec<(usize, Vec2)>,
     cursor: Vec<usize>,
+    /// The rebuilt slice's user ids, by index.
+    ids: Vec<UserId>,
+}
+
+/// Update-list entries the literal scan's duplicate-avoidance walks visit
+/// while subscribing `visible` distinct users: the k-th subscription
+/// walks the k − 1 entries before it.
+pub fn dedup_scans_for(visible: usize) -> usize {
+    visible * visible.saturating_sub(1) / 2
 }
 
 impl AoiGrid {
@@ -118,18 +130,22 @@ impl AoiGrid {
     }
 
     /// Re-indexes `avatars` (one entry per user) for `world`. Reuses the
-    /// grid's allocations; O(n + cells).
+    /// grid's allocations; O(n + cells), with at most about two cells per
+    /// avatar however small the radius.
     pub fn rebuild(&mut self, world: &World, avatars: &[(UserId, Vec2)]) {
         let width = world.bounds.width().max(1e-3);
         let height = world.bounds.height().max(1e-3);
+        // Finer than ~2 cells per avatar buys nothing: most cells would be
+        // empty and clearing the table would dominate the rebuild.
+        let max_dim = (((2 * avatars.len()) as f32).sqrt().ceil() as usize).clamp(1, MAX_GRID_DIM);
         self.cell = world
             .aoi_radius
-            .max(width / MAX_GRID_DIM as f32)
-            .max(height / MAX_GRID_DIM as f32)
+            .max(width / max_dim as f32)
+            .max(height / max_dim as f32)
             .max(1e-3);
         self.min = world.bounds.min;
-        self.cols = ((width / self.cell).ceil() as usize).clamp(1, MAX_GRID_DIM);
-        self.rows = ((height / self.cell).ceil() as usize).clamp(1, MAX_GRID_DIM);
+        self.cols = ((width / self.cell).ceil() as usize).clamp(1, max_dim);
+        self.rows = ((height / self.cell).ceil() as usize).clamp(1, max_dim);
         let cells = self.cols * self.rows;
 
         self.starts.clear();
@@ -144,13 +160,35 @@ impl AoiGrid {
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.starts[..cells]);
         self.entries.clear();
-        self.entries
-            .resize(avatars.len(), (UserId(0), Vec2::new(0.0, 0.0)));
-        for &(user, pos) in avatars {
+        self.entries.resize(avatars.len(), (0, Vec2::new(0.0, 0.0)));
+        self.ids.clear();
+        for (index, &(user, pos)) in avatars.iter().enumerate() {
             let (col, row) = self.col_row(&pos);
             let slot = &mut self.cursor[row * self.cols + col];
-            self.entries[*slot] = (user, pos);
+            self.entries[*slot] = (index, pos);
             *slot += 1;
+            self.ids.push(user);
+        }
+    }
+
+    /// Calls `f` with the index (into the rebuilt slice) of every indexed
+    /// avatar within the AoI radius of `pos` — an avatar standing at `pos`
+    /// included — in no particular order. Allocation-free; the form the
+    /// per-tick interest phase runs.
+    pub fn for_each_in_aoi(&self, world: &World, pos: &Vec2, mut f: impl FnMut(usize)) {
+        if self.entries.is_empty() {
+            return;
+        }
+        let (col, row) = self.col_row(pos);
+        for gy in row.saturating_sub(1)..=(row + 1).min(self.rows - 1) {
+            for gx in col.saturating_sub(1)..=(col + 1).min(self.cols - 1) {
+                let c = gy * self.cols + gx;
+                for (index, other) in &self.entries[self.starts[c]..self.starts[c + 1]] {
+                    if world.in_aoi(pos, other) {
+                        f(*index);
+                    }
+                }
+            }
         }
     }
 
@@ -166,30 +204,21 @@ impl AoiGrid {
         observer_pos: &Vec2,
         others_scanned: usize,
     ) -> AoiResult {
-        let mut result = AoiResult {
-            pairs_checked: others_scanned,
-            ..AoiResult::default()
-        };
-        let (col, row) = self.col_row(observer_pos);
-        for gy in row.saturating_sub(1)..=(row + 1).min(self.rows - 1) {
-            for gx in col.saturating_sub(1)..=(col + 1).min(self.cols - 1) {
-                let c = gy * self.cols + gx;
-                for (user, pos) in &self.entries[self.starts[c]..self.starts[c + 1]] {
-                    if *user == observer {
-                        continue;
-                    }
-                    if world.in_aoi(observer_pos, pos) {
-                        result.visible.push(*user);
-                    }
-                }
+        let mut visible = Vec::new();
+        self.for_each_in_aoi(world, observer_pos, |index| {
+            let user = self.ids[index];
+            if user != observer {
+                visible.push(user);
             }
+        });
+        // Ascending id order = the literal scan order of the sorted
+        // avatar table.
+        visible.sort_unstable();
+        AoiResult {
+            pairs_checked: others_scanned,
+            dedup_scans: dedup_scans_for(visible.len()),
+            visible,
         }
-        // Ascending id order = the literal scan order of the map-backed
-        // callers.
-        result.visible.sort_unstable();
-        let v = result.visible.len();
-        result.dedup_scans = v * v.saturating_sub(1) / 2;
-        result
     }
 }
 
@@ -325,18 +354,39 @@ mod tests {
     #[test]
     fn grid_handles_tiny_radius_without_blowing_up() {
         // Radius far below world-size/MAX_GRID_DIM: the cell size floors
-        // at the dimension cap instead of allocating millions of cells.
-        let w = World {
-            aoi_radius: 0.5,
-            ..World::default()
-        };
-        let avatars: Vec<(UserId, Vec2)> = (0..64)
-            .map(|i| (UserId(i), w.spawn_point(UserId(i))))
-            .collect();
+        // at the dimension cap instead of allocating millions of cells,
+        // and the cap follows the population — rebuilding for 200 avatars
+        // must not clear a 128 × 128 table every tick.
+        for (radius, population) in [(0.5, 64u64), (0.0, 200), (0.15, 200), (0.5, 20_000)] {
+            let w = World {
+                aoi_radius: radius,
+                ..World::default()
+            };
+            let avatars: Vec<(UserId, Vec2)> = (0..population)
+                .map(|i| (UserId(i), w.spawn_point(UserId(i))))
+                .collect();
+            let mut grid = AoiGrid::new();
+            grid.rebuild(&w, &avatars);
+            assert!(grid.cols <= MAX_GRID_DIM && grid.rows <= MAX_GRID_DIM);
+            let cells_touched = grid.starts.len();
+            assert!(
+                cells_touched <= 2 * avatars.len() + 64,
+                "rebuild for {population} avatars touches {cells_touched} cells"
+            );
+            if population <= 200 {
+                assert_grid_matches_scan(&w, &avatars);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_grid_sees_nobody() {
+        let w = world();
         let mut grid = AoiGrid::new();
-        grid.rebuild(&w, &avatars);
-        assert!(grid.cols <= MAX_GRID_DIM && grid.rows <= MAX_GRID_DIM);
-        assert_grid_matches_scan(&w, &avatars);
+        let at = Vec2::new(1.0, 1.0);
+        assert!(grid.query(&w, UserId(1), &at, 0).visible.is_empty());
+        grid.rebuild(&w, &[]);
+        assert!(grid.query(&w, UserId(1), &at, 0).visible.is_empty());
     }
 
     #[test]

@@ -2,25 +2,27 @@
 //!
 //! This is the first-person-shooter case study of §V: avatars move and
 //! shoot, interest management is Euclidean, the state is replicated across
-//! the servers of a zone. Every callback counts its work units and charges
+//! the servers of a zone. Every phase counts its work units and charges
 //! virtual time through the [`CostModel`], and the same code paths run
 //! under wall-clock accounting unchanged.
+//!
+//! The cost model draws its measurement noise from one random stream, so
+//! the *order* of its `charge_*` calls is part of the virtual-time result.
+//! The phases below batch the work but keep that order exactly as the
+//! per-item loop of §II produces it: per input its deserialization then
+//! its commands; per observer its interest computation then its update.
 
-use crate::aoi::{compute_aoi, AoiGrid, AoiResult};
+use crate::aoi::{dedup_scans_for, AoiGrid};
 use crate::avatar::{Avatar, AvatarSnapshot};
 use crate::calibration::CostModel;
 use crate::commands::{Command, CommandBatch, Interaction};
 use crate::npc::NpcWorld;
 use crate::world::World;
-use bytes::Bytes;
 use rtf_core::entity::{Ownership, UserId, Vec2};
-use rtf_core::server::{Application, ForwardEvent, TickCtx};
+use rtf_core::server::{Application, Batch, FrameSink, ReplicaUpdates, TickCtx};
+use rtf_core::timer::{TaskKind, TickTimers};
 use rtf_core::wire::{Wire, WireReader, WireWriter};
 use rtf_net::NodeId;
-use std::collections::BTreeMap;
-// lint: allow-file(nondet, "Instant spans here only feed the Wall accumulators via add_wall; deterministic runs use TimeMode::Virtual, whose tick durations come solely from charge()d virtual seconds")
-// lint: allow-file(taint, "sanctioned taint boundary, same reasoning: every clock read lands in add_wall(), which no digest- or report-affecting value ever reads back in Virtual mode")
-use std::time::Instant;
 
 /// Gameplay counters, for tests and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,39 +41,84 @@ pub struct GameStats {
     pub kills: u64,
 }
 
-/// How [`RtfDemoApp`] computes areas of interest. Both backends return
-/// identical visible sets and charge identical virtual `t_aoi` costs
-/// (see [`crate::aoi`]); they differ only in host CPU time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum AoiBackend {
-    /// The paper-literal O(n²) scan (§V-A). The default.
-    #[default]
-    Quadratic,
-    /// Spatial-hash fast path: O(n) index per tick + O(neighbourhood)
-    /// per observer. Use for large sessions where the wall-clock cost of
-    /// the literal scan dominates.
-    Grid,
+/// One row of the avatar table.
+#[derive(Debug, Clone)]
+struct Slot {
+    avatar: Avatar,
+    /// The replica whose updates mirror this avatar here: `Some` exactly
+    /// while the avatar is a shadow.
+    origin: Option<NodeId>,
+}
+
+/// The areas of interest of one tick's observers, as one flat table
+/// (CSR): observer `i` sees `visible[ends[i - 1]..ends[i]]`, avatar-table
+/// rows in ascending order.
+#[derive(Debug, Default)]
+struct Interest {
+    /// Each observer's own row, `None` for a user without an avatar.
+    rows: Vec<Option<usize>>,
+    ends: Vec<usize>,
+    visible: Vec<usize>,
+}
+
+impl Interest {
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.ends.clear();
+        self.visible.clear();
+    }
+
+    /// Observer `i`'s own row and the rows it sees.
+    fn of(&self, i: usize) -> Option<(usize, &[usize])> {
+        let row = (*self.rows.get(i)?)?;
+        let from = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some((row, &self.visible[from..self.ends[i]]))
+    }
+}
+
+/// Buffers the phases reuse from tick to tick.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The tick's decoded commands, all inputs back to back.
+    commands: Vec<Command>,
+    /// Per input, its range of `commands`; `None` if it did not decode.
+    batches: Vec<Option<(usize, usize)>>,
+    /// Per forwarded input, the decoded interaction.
+    interactions: Vec<Option<Interaction>>,
+    /// Shadows a replica update introduced, until they join the table.
+    fresh: Vec<Slot>,
+    /// `(user, position)` rows: the active users for the NPC pass, then
+    /// the whole avatar table for the interest phase.
+    positions: Vec<(UserId, Vec2)>,
+    grid: AoiGrid,
+    interest: Interest,
 }
 
 /// The RTFDemo application state on one server.
 pub struct RtfDemoApp {
     world: World,
-    avatars: BTreeMap<UserId, Avatar>,
-    shadow_origin: BTreeMap<UserId, NodeId>,
+    /// Every avatar this server knows, active and shadow, ascending by
+    /// user id: lookups are binary searches, the send phase reads it as a
+    /// dense array, and iteration order is the literal scan's.
+    avatars: Vec<Slot>,
     npcs: NpcWorld,
     costs: CostModel,
     stats: GameStats,
-    aoi_backend: AoiBackend,
-    /// Grid-backend cache: the spatial index and the tick it was built
-    /// for. State updates all run in the send phase of one server tick,
-    /// after every avatar mutation of that tick, so one rebuild serves
-    /// every observer.
-    aoi_grid: AoiGrid,
-    aoi_grid_tick: Option<u64>,
-    aoi_scratch: Vec<(UserId, Vec2)>,
     /// The world's full-fidelity AoI radius, kept so degraded-mode
     /// scaling is always relative to the original, not cumulative.
     base_aoi_radius: f32,
+    scratch: Scratch,
+}
+
+/// An entry count as the wire's `u16`. More than 65 535 entries do not fit
+/// one update; the list is then cut to the first 65 535 rather than its
+/// count wrapping around.
+fn wire_count(entries: usize) -> u16 {
+    debug_assert!(
+        entries <= usize::from(u16::MAX),
+        "{entries} entries in one update"
+    );
+    u16::try_from(entries).unwrap_or(u16::MAX)
 }
 
 impl RtfDemoApp {
@@ -83,16 +130,12 @@ impl RtfDemoApp {
         let base_aoi_radius = world.aoi_radius;
         Self {
             world,
-            avatars: BTreeMap::new(),
-            shadow_origin: BTreeMap::new(),
+            avatars: Vec::new(),
             npcs,
             costs,
             stats: GameStats::default(),
-            aoi_backend: AoiBackend::default(),
-            aoi_grid: AoiGrid::new(),
-            aoi_grid_tick: None,
-            aoi_scratch: Vec::new(),
             base_aoi_radius,
+            scratch: Scratch::default(),
         }
     }
 
@@ -108,7 +151,6 @@ impl RtfDemoApp {
             1.0
         };
         self.world.aoi_radius = self.base_aoi_radius * scale as f32;
-        self.aoi_grid_tick = None;
     }
 
     /// The current AoI fidelity relative to the base radius.
@@ -117,18 +159,6 @@ impl RtfDemoApp {
             return 1.0;
         }
         f64::from(self.world.aoi_radius / self.base_aoi_radius)
-    }
-
-    /// Selects the interest-management backend (default:
-    /// [`AoiBackend::Quadratic`], the paper-literal scan).
-    pub fn set_aoi_backend(&mut self, backend: AoiBackend) {
-        self.aoi_backend = backend;
-        self.aoi_grid_tick = None;
-    }
-
-    /// The active interest-management backend.
-    pub fn aoi_backend(&self) -> AoiBackend {
-        self.aoi_backend
     }
 
     /// The arena description.
@@ -168,107 +198,103 @@ impl RtfDemoApp {
 
     /// Looks up an avatar.
     pub fn avatar(&self, user: UserId) -> Option<&Avatar> {
-        self.avatars.get(&user)
+        let row = self.row_of(user).ok()?;
+        Some(&self.avatars[row].avatar)
     }
 
-    /// Positions of this server's *active* users (for NPC interactions).
-    fn active_positions(&self) -> Vec<(UserId, Vec2)> {
-        self.avatars
-            .values()
-            .filter(|a| a.is_active())
-            .map(|a| (a.user, a.pos))
-            .collect()
+    fn avatar_mut(&mut self, user: UserId) -> Option<&mut Avatar> {
+        let row = self.row_of(user).ok()?;
+        Some(&mut self.avatars[row].avatar)
     }
 
-    /// Computes one observer's area of interest via the configured
-    /// backend. Both backends return identical results (the grid
-    /// synthesizes the literal scan's work-unit counters — see
-    /// [`crate::aoi::AoiGrid`]), so the charged virtual cost and every
-    /// downstream payload byte are backend-independent.
-    fn compute_aoi_for(&mut self, tick: u64, observer: UserId, observer_pos: &Vec2) -> AoiResult {
-        match self.aoi_backend {
-            AoiBackend::Quadratic => compute_aoi(
-                &self.world,
-                observer,
-                observer_pos,
-                self.avatars.values().map(|a| (a.user, a.pos)),
-            ),
-            AoiBackend::Grid => {
-                // One rebuild serves every observer of this tick: state
-                // updates are the send phase, after all avatar mutation.
-                if self.aoi_grid_tick != Some(tick) {
-                    self.aoi_scratch.clear();
-                    self.aoi_scratch
-                        .extend(self.avatars.values().map(|a| (a.user, a.pos)));
-                    self.aoi_grid.rebuild(&self.world, &self.aoi_scratch);
-                    self.aoi_grid_tick = Some(tick);
-                }
-                self.aoi_grid.query(
-                    &self.world,
-                    observer,
-                    observer_pos,
-                    self.avatars.len().saturating_sub(1),
-                )
-            }
-        }
+    /// The table row of `user`, or where it would be inserted.
+    fn row_of(&self, user: UserId) -> Result<usize, usize> {
+        self.avatars.binary_search_by_key(&user, |s| s.avatar.user)
     }
 
     /// Applies one attack: the paper-described hit check iterates through
-    /// every known avatar. Returns a forward event if the hit target is a
-    /// shadow entity.
+    /// every known avatar. A hit on a shadow entity is forwarded.
     fn apply_attack(
         &mut self,
-        ctx: &mut TickCtx<'_>,
+        timers: &mut TickTimers,
         attacker: UserId,
         target: UserId,
         damage: u16,
-    ) -> Option<ForwardEvent> {
+        forwards: &mut FrameSink<'_>,
+    ) {
+        // The paper's hit check iterates through every known avatar, and
+        // `charge_attack(scanned)` bills that full scan. The lookup itself
+        // is a search of the sorted table (ids are unique, so the scan's
+        // result is exactly that row) — the virtual cost stays linear in
+        // the avatar count while the host cost does not.
         let scanned = self.avatars.len();
-        self.costs.charge_attack(ctx.timers, scanned);
+        self.costs.charge_attack(timers, scanned);
         self.stats.attacks_applied += 1;
 
-        let attacker_pos = self.avatars.get(&attacker)?.pos;
-        // The paper's hit check iterates through every known avatar; the
-        // `charge_attack(scanned)` above bills that full scan. The lookup
-        // itself uses the map (ids are unique, so the scan's result is
-        // exactly the map entry) — the virtual cost stays linear in the
-        // avatar count while the host cost stops being the hot path of
-        // large sessions.
-        let (ownership, target_pos) = self.avatars.get(&target).map(|a| (a.ownership, a.pos))?;
-        if !self.world.in_attack_range(&attacker_pos, &target_pos) {
-            return None;
+        let (Ok(attacker_row), Ok(target_row)) = (self.row_of(attacker), self.row_of(target))
+        else {
+            return;
+        };
+        let attacker_pos = self.avatars[attacker_row].avatar.pos;
+        let victim = &mut self.avatars[target_row].avatar;
+        if !self.world.in_attack_range(&attacker_pos, &victim.pos) {
+            return;
         }
-
-        match ownership {
+        match victim.ownership {
             Ownership::Active => {
-                let respawn = self.world.spawn_point(target);
-                let lethal = self
-                    .avatars
-                    .get_mut(&target)
-                    .map(|t| t.take_damage(damage, respawn))
-                    .unwrap_or(false);
+                let lethal = victim.take_damage(damage, self.world.spawn_point(target));
                 self.stats.hits_on_active += 1;
                 if lethal {
                     self.stats.kills += 1;
-                    if let Some(a) = self.avatars.get_mut(&attacker) {
-                        a.kills += 1;
-                    }
+                    self.avatars[attacker_row].avatar.kills += 1;
                 }
-                None
             }
             Ownership::Shadow => {
                 self.stats.interactions_forwarded += 1;
-                Some(ForwardEvent {
-                    target_user: target,
-                    payload: Interaction {
-                        attacker,
-                        target,
-                        damage,
-                    }
-                    .to_bytes(),
-                })
+                let interaction = Interaction {
+                    attacker,
+                    target,
+                    damage,
+                };
+                forwards.push(target, |w| interaction.encode(w));
             }
         }
+    }
+
+    /// Merges the shadows an update introduced into the table — all at
+    /// once, because a replica's first update introduces its whole
+    /// population and one insertion each would make that quadratic. A user
+    /// the update carried twice keeps its later state.
+    fn admit_shadows(&mut self) {
+        let fresh = &mut self.scratch.fresh;
+        if fresh.is_empty() {
+            return;
+        }
+        fresh.sort_by_key(|s| s.avatar.user);
+        fresh.dedup_by(|later, kept| {
+            let same = later.avatar.user == kept.avatar.user;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        self.avatars.append(fresh);
+        // Two ascending runs: the stable sort merges them in one pass.
+        self.avatars.sort_by_key(|s| s.avatar.user);
+    }
+
+    /// Drops the shadows `origin` used to own but no longer lists (the
+    /// user disconnected or migrated elsewhere): one merge walk of the
+    /// table against `listed`, both ascending.
+    fn prune_shadows(&mut self, origin: NodeId, listed: &[UserId]) {
+        let mut listed = listed.iter().peekable();
+        self.avatars.retain(|slot| {
+            if slot.origin != Some(origin) {
+                return true;
+            }
+            while listed.next_if(|l| **l < slot.avatar.user).is_some() {}
+            listed.peek() == Some(&&slot.avatar.user)
+        });
     }
 }
 
@@ -278,232 +304,245 @@ impl Application for RtfDemoApp {
         // user spawns; a user reconnecting after its server crashed may
         // still exist here as a shadow — promoting it to active recovers
         // the last replicated state (a free benefit of replication).
-        let spawn = self.world.spawn_point(user);
-        let avatar = self
-            .avatars
-            .entry(user)
-            .or_insert_with(|| Avatar::spawn(user, spawn));
-        avatar.ownership = Ownership::Active;
-        self.shadow_origin.remove(&user);
+        match self.row_of(user) {
+            Ok(row) => {
+                let slot = &mut self.avatars[row];
+                slot.avatar.ownership = Ownership::Active;
+                slot.origin = None;
+            }
+            Err(row) => {
+                let avatar = Avatar::spawn(user, self.world.spawn_point(user));
+                self.avatars.insert(
+                    row,
+                    Slot {
+                        avatar,
+                        origin: None,
+                    },
+                );
+            }
+        }
     }
 
     fn on_user_disconnected(&mut self, user: UserId) {
         // Remove only an *active* avatar: after a migration the entity
         // lives on at the target and will reappear here as a shadow.
-        if self.avatars.get(&user).is_some_and(Avatar::is_active) {
-            self.avatars.remove(&user);
+        if let Ok(row) = self.row_of(user) {
+            if self.avatars[row].avatar.is_active() {
+                self.avatars.remove(row);
+            }
         }
     }
 
-    fn apply_user_input(
-        &mut self,
-        ctx: &mut TickCtx<'_>,
-        user: UserId,
-        payload: &[u8],
-    ) -> Vec<ForwardEvent> {
-        let decode_started = Instant::now();
-        let batch = CommandBatch::from_bytes(payload);
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::UaDser,
-            decode_started.elapsed().as_secs_f64(),
-        );
-        let Ok(batch) = batch else {
-            return Vec::new();
-        };
-        self.costs
-            .charge_ua_dser(ctx.timers, payload.len(), batch.commands.len());
-
-        let apply_started = Instant::now();
-        let mut forwards = Vec::new();
-        for cmd in batch.commands {
-            match cmd {
-                Command::Move { dx, dy } => {
-                    self.costs.charge_move(ctx.timers);
-                    let new_pos = match self.avatars.get(&user) {
-                        Some(a) if a.is_active() => self.world.apply_move(&a.pos, dx, dy),
-                        _ => continue,
-                    };
-                    if let Some(a) = self.avatars.get_mut(&user) {
-                        a.pos = new_pos;
-                        self.stats.moves_applied += 1;
+    fn apply_replica_updates(&mut self, ctx: &mut TickCtx<'_>, updates: ReplicaUpdates<'_>) {
+        for update in updates.iter() {
+            self.costs.charge_fa_dser(ctx.timers, update.payload.len());
+            let mut r = WireReader::new(update.payload);
+            let Ok(count) = r.get_u16() else { continue };
+            let mut applied = 0usize;
+            for _ in 0..count {
+                let Ok(snap) = AvatarSnapshot::decode(&mut r) else {
+                    break;
+                };
+                match self.row_of(snap.user) {
+                    Ok(row) => {
+                        let slot = &mut self.avatars[row];
+                        // Never demote a local active avatar (migration race).
+                        if slot.avatar.is_active() {
+                            continue;
+                        }
+                        slot.avatar.pos = snap.pos;
+                        slot.avatar.health = snap.health;
+                        slot.origin = Some(update.origin);
                     }
+                    Err(_) => self.scratch.fresh.push(Slot {
+                        avatar: Avatar::shadow(snap.user, snap.pos, snap.health),
+                        origin: Some(update.origin),
+                    }),
                 }
-                Command::Attack { target, damage } => {
-                    if let Some(fwd) = self.apply_attack(ctx, user, target, damage) {
-                        forwards.push(fwd);
+                applied += 1;
+            }
+            self.costs.charge_fa_shadow(ctx.timers, applied);
+            self.admit_shadows();
+            self.prune_shadows(update.origin, update.users);
+        }
+    }
+
+    fn apply_forwarded_inputs(&mut self, ctx: &mut TickCtx<'_>, inputs: Batch<'_, NodeId>) {
+        let mut interactions = std::mem::take(&mut self.scratch.interactions);
+        ctx.timers.time(TaskKind::FaDser, |_| {
+            interactions.clear();
+            interactions.extend(inputs.iter().map(|(_, p)| Interaction::from_bytes(p).ok()));
+        });
+        ctx.timers.time(TaskKind::Fa, |timers| {
+            for ((_, payload), interaction) in inputs.iter().zip(&interactions) {
+                self.costs.charge_fa_dser(timers, payload.len());
+                let Some(interaction) = interaction else {
+                    continue;
+                };
+                self.costs.charge_fa_apply(timers);
+                self.stats.interactions_received += 1;
+                let respawn = self.world.spawn_point(interaction.target);
+                if let Some(target) = self.avatar_mut(interaction.target) {
+                    if target.is_active() && target.take_damage(interaction.damage, respawn) {
+                        self.stats.kills += 1;
                     }
                 }
             }
-        }
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::Ua,
-            apply_started.elapsed().as_secs_f64(),
-        );
-        forwards
+        });
+        self.scratch.interactions = interactions;
     }
 
-    fn apply_forwarded_input(&mut self, ctx: &mut TickCtx<'_>, _origin: NodeId, payload: &[u8]) {
-        self.costs.charge_fa_dser(ctx.timers, payload.len());
-        let decode_started = Instant::now();
-        let interaction = Interaction::from_bytes(payload);
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::FaDser,
-            decode_started.elapsed().as_secs_f64(),
-        );
-        let Ok(interaction) = interaction else { return };
-        self.costs.charge_fa_apply(ctx.timers);
-        self.stats.interactions_received += 1;
-
-        let apply_started = Instant::now();
-        let respawn = self.world.spawn_point(interaction.target);
-        if let Some(target) = self.avatars.get_mut(&interaction.target) {
-            if target.is_active() && target.take_damage(interaction.damage, respawn) {
-                self.stats.kills += 1;
-            }
-        }
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::Fa,
-            apply_started.elapsed().as_secs_f64(),
-        );
-    }
-
-    fn apply_replica_update(
+    fn apply_user_inputs(
         &mut self,
         ctx: &mut TickCtx<'_>,
-        origin: NodeId,
-        users: &[UserId],
-        payload: &[u8],
+        inputs: Batch<'_, UserId>,
+        forwards: &mut FrameSink<'_>,
     ) {
-        self.costs.charge_fa_dser(ctx.timers, payload.len());
-        let apply_started = Instant::now();
-        let mut r = WireReader::new(payload);
-        let Ok(count) = r.get_u16() else { return };
-        let mut applied = 0usize;
-        for _ in 0..count {
-            let Ok(snap) = AvatarSnapshot::decode(&mut r) else {
-                break;
-            };
-            // Never demote a local active avatar (migration race).
-            if self.avatars.get(&snap.user).is_some_and(Avatar::is_active) {
-                continue;
+        let mut commands = std::mem::take(&mut self.scratch.commands);
+        let mut batches = std::mem::take(&mut self.scratch.batches);
+        ctx.timers.time(TaskKind::UaDser, |_| {
+            commands.clear();
+            batches.clear();
+            for (_, payload) in inputs.iter() {
+                let from = commands.len();
+                let decoded =
+                    CommandBatch::decode_into(&mut WireReader::new(payload), &mut commands);
+                batches.push(decoded.ok().map(|()| (from, commands.len())));
             }
-            let shadow = self
-                .avatars
-                .entry(snap.user)
-                .or_insert_with(|| Avatar::shadow(snap.user, snap.pos, snap.health));
-            shadow.pos = snap.pos;
-            shadow.health = snap.health;
-            shadow.ownership = Ownership::Shadow;
-            self.shadow_origin.insert(snap.user, origin);
-            applied += 1;
-        }
-        self.costs.charge_fa_shadow(ctx.timers, applied);
-
-        // Prune shadows this origin used to own but no longer lists (the
-        // user disconnected or migrated elsewhere).
-        let listed: std::collections::BTreeSet<UserId> = users.iter().copied().collect();
-        let stale: Vec<UserId> = self
-            .shadow_origin
-            .iter()
-            .filter(|(u, o)| **o == origin && !listed.contains(u))
-            .map(|(u, _)| *u)
-            .collect();
-        for user in stale {
-            if self.avatars.get(&user).is_some_and(|a| !a.is_active()) {
-                self.avatars.remove(&user);
+        });
+        ctx.timers.time(TaskKind::Ua, |timers| {
+            for ((user, payload), batch) in inputs.iter().zip(&batches) {
+                let Some((from, to)) = *batch else { continue };
+                self.costs.charge_ua_dser(timers, payload.len(), to - from);
+                for command in &commands[from..to] {
+                    match *command {
+                        Command::Move { dx, dy } => {
+                            self.costs.charge_move(timers);
+                            let world = &self.world;
+                            if let Ok(row) = self.row_of(user) {
+                                let avatar = &mut self.avatars[row].avatar;
+                                if avatar.is_active() {
+                                    avatar.pos = world.apply_move(&avatar.pos, dx, dy);
+                                    self.stats.moves_applied += 1;
+                                }
+                            }
+                        }
+                        Command::Attack { target, damage } => {
+                            self.apply_attack(timers, user, target, damage, forwards);
+                        }
+                    }
+                }
             }
-            self.shadow_origin.remove(&user);
-        }
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::Fa,
-            apply_started.elapsed().as_secs_f64(),
-        );
+        });
+        self.scratch.commands = commands;
+        self.scratch.batches = batches;
     }
 
     fn update_npcs(&mut self, ctx: &mut TickCtx<'_>) {
-        let started = Instant::now();
-        let users = self.active_positions();
-        let work = self.npcs.update(&self.world, &users);
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::Npc,
-            started.elapsed().as_secs_f64(),
-        );
+        let positions = &mut self.scratch.positions;
+        positions.clear();
+        if !self.npcs.is_empty() {
+            let active = self.avatars.iter().filter(|s| s.avatar.is_active());
+            positions.extend(active.map(|s| (s.avatar.user, s.avatar.pos)));
+        }
+        let work = self.npcs.update(&self.world, positions);
         self.costs
             .charge_npc(ctx.timers, work.npcs_updated, work.user_scans);
     }
 
-    fn state_update_for(&mut self, ctx: &mut TickCtx<'_>, user: UserId) -> Bytes {
-        let Some(observer) = self.avatars.get(&user) else {
-            return Bytes::new();
-        };
-        let observer_pos = observer.pos;
-        let aoi_started = Instant::now();
-        let aoi = self.compute_aoi_for(ctx.tick, user, &observer_pos);
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::Aoi,
-            aoi_started.elapsed().as_secs_f64(),
-        );
-        self.costs
-            .charge_aoi(ctx.timers, aoi.pairs_checked, aoi.dedup_scans);
-
-        // Serialize self + visible avatars.
-        let ser_started = Instant::now();
-        let mut w = WireWriter::with_capacity(4 + 20 * (aoi.visible.len() + 1));
-        w.put_u16((aoi.visible.len() + 1) as u16);
-        AvatarSnapshot::from(&self.avatars[&user]).encode(&mut w);
-        for target in &aoi.visible {
-            AvatarSnapshot::from(&self.avatars[target]).encode(&mut w);
+    fn compute_interest(&mut self, _ctx: &mut TickCtx<'_>, observers: &[UserId]) {
+        // The send phase runs after every avatar mutation of the tick, so
+        // one index serves every observer. The virtual `t_aoi` of each
+        // observer is charged next to its `t_su`, in the encode phase.
+        let Scratch {
+            positions,
+            grid,
+            interest,
+            ..
+        } = &mut self.scratch;
+        positions.clear();
+        positions.extend(self.avatars.iter().map(|s| (s.avatar.user, s.avatar.pos)));
+        grid.rebuild(&self.world, positions);
+        interest.clear();
+        for user in observers {
+            let row = positions.binary_search_by_key(user, |(u, _)| *u).ok();
+            if let Some(row) = row {
+                let from = interest.visible.len();
+                grid.for_each_in_aoi(&self.world, &positions[row].1, |other| {
+                    if other != row {
+                        interest.visible.push(other);
+                    }
+                });
+                // Ascending rows = ascending ids = the literal scan order.
+                interest.visible[from..].sort_unstable();
+            }
+            interest.rows.push(row);
+            interest.ends.push(interest.visible.len());
         }
-        let payload = w.finish();
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::Su,
-            ser_started.elapsed().as_secs_f64(),
-        );
-        self.costs
-            .charge_su(ctx.timers, aoi.visible.len() + 1, payload.len());
-        payload
     }
 
-    fn replica_update(&mut self, _ctx: &mut TickCtx<'_>) -> Bytes {
-        let active: Vec<&Avatar> = self.avatars.values().filter(|a| a.is_active()).collect();
-        let mut w = WireWriter::with_capacity(2 + 20 * active.len());
-        w.put_u16(active.len() as u16);
-        for a in active {
-            AvatarSnapshot::from(a).encode(&mut w);
+    fn encode_state_updates(
+        &mut self,
+        ctx: &mut TickCtx<'_>,
+        observers: &[UserId],
+        updates: &mut FrameSink<'_>,
+    ) {
+        let avatars = &self.avatars;
+        let others = avatars.len().saturating_sub(1);
+        for (i, user) in observers.iter().enumerate() {
+            let Some((own, visible)) = self.scratch.interest.of(i) else {
+                updates.push(*user, |_| {});
+                continue;
+            };
+            self.costs
+                .charge_aoi(ctx.timers, others, dedup_scans_for(visible.len()));
+            // Self + visible avatars.
+            let entities = wire_count(visible.len() + 1);
+            let rows = std::iter::once(&own).chain(visible);
+            let bytes = updates.push(*user, |w| {
+                w.put_u16(entities);
+                for row in rows.take(usize::from(entities)) {
+                    AvatarSnapshot::from(&avatars[*row].avatar).encode(w);
+                }
+            });
+            self.costs
+                .charge_su(ctx.timers, usize::from(entities), bytes);
         }
-        w.finish()
     }
 
-    fn export_user(&mut self, ctx: &mut TickCtx<'_>, user: UserId) -> Bytes {
+    fn encode_replica_update(&mut self, _ctx: &mut TickCtx<'_>, w: &mut WireWriter) {
+        let active = || self.avatars.iter().filter(|s| s.avatar.is_active());
+        let entities = wire_count(active().count());
+        w.put_u16(entities);
+        for slot in active().take(usize::from(entities)) {
+            AvatarSnapshot::from(&slot.avatar).encode(w);
+        }
+    }
+
+    fn export_user(&mut self, ctx: &mut TickCtx<'_>, user: UserId, w: &mut WireWriter) {
         let known = self.avatars.len();
         self.costs.charge_mig_ini(ctx.timers, known);
-        let started = Instant::now();
-        let out = match self.avatars.remove(&user) {
-            Some(avatar) => avatar.to_bytes(),
-            None => Bytes::new(),
-        };
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::MigIni,
-            started.elapsed().as_secs_f64(),
-        );
-        out
+        if let Ok(row) = self.row_of(user) {
+            self.avatars.remove(row).avatar.encode(w);
+        }
     }
 
     fn import_user(&mut self, ctx: &mut TickCtx<'_>, user: UserId, payload: &[u8]) {
         let known = self.avatars.len();
         self.costs.charge_mig_rcv(ctx.timers, known);
-        let started = Instant::now();
         let mut avatar = match Avatar::from_bytes(payload) {
-            Ok(a) => a,
-            Err(_) => Avatar::spawn(user, self.world.spawn_point(user)),
+            Ok(a) if a.user == user => a,
+            _ => Avatar::spawn(user, self.world.spawn_point(user)),
         };
         avatar.ownership = Ownership::Active;
-        self.shadow_origin.remove(&user);
-        self.avatars.insert(user, avatar);
-        ctx.timers.add_wall(
-            rtf_core::timer::TaskKind::MigRcv,
-            started.elapsed().as_secs_f64(),
-        );
+        let slot = Slot {
+            avatar,
+            origin: None,
+        };
+        match self.row_of(user) {
+            Ok(row) => self.avatars[row] = slot,
+            Err(row) => self.avatars.insert(row, slot),
+        }
     }
 
     fn npc_count(&self) -> u32 {
@@ -514,7 +553,10 @@ impl Application for RtfDemoApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtf_core::timer::{TaskKind, TickTimers, TimeMode};
+    use bytes::Bytes;
+    use rtf_core::event::Packet;
+    use rtf_core::server::Envelope;
+    use rtf_core::timer::TimeMode;
 
     fn app() -> RtfDemoApp {
         RtfDemoApp::new(World::default(), 0, CostModel::exact())
@@ -531,6 +573,65 @@ mod tests {
             timers,
         };
         f(&mut ctx)
+    }
+
+    /// Runs the input phase for one input; returns the forwarded
+    /// interactions as `(target, payload)`.
+    fn apply_input(
+        app: &mut RtfDemoApp,
+        timers: &mut TickTimers,
+        user: UserId,
+        payload: &[u8],
+    ) -> Vec<(UserId, Bytes)> {
+        let bufs = [Bytes::copy_from_slice(payload)];
+        let envelopes = [Envelope::new(user, 0, 0..payload.len())];
+        let (mut w, mut frames) = (WireWriter::new(), Vec::new());
+        let mut sink = FrameSink::forwards(&mut w, NodeId(0), &mut frames);
+        with_ctx(timers, |ctx| {
+            app.apply_user_inputs(ctx, Batch::new(&bufs, &envelopes), &mut sink)
+        });
+        frames
+            .into_iter()
+            .map(|(target, frame)| match Packet::from_bytes(&frame) {
+                Ok(Packet::ForwardedInput { payload, .. }) => (target, payload),
+                other => panic!("not a forwarded input: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Runs the replica-update phase for one update.
+    fn apply_replica_update(
+        app: &mut RtfDemoApp,
+        timers: &mut TickTimers,
+        origin: NodeId,
+        users: &[UserId],
+        payload: &[u8],
+    ) {
+        let bufs = [Bytes::copy_from_slice(payload)];
+        let envelopes = [Envelope::new((origin, 0, users.len()), 0, 0..payload.len())];
+        let updates = ReplicaUpdates::new(Batch::new(&bufs, &envelopes), users);
+        with_ctx(timers, |ctx| app.apply_replica_updates(ctx, updates));
+    }
+
+    /// Runs the send phase for `observers`; returns each one's payload.
+    fn state_updates(
+        app: &mut RtfDemoApp,
+        timers: &mut TickTimers,
+        observers: &[UserId],
+    ) -> Vec<Bytes> {
+        let (mut w, mut frames) = (WireWriter::new(), Vec::new());
+        let mut sink = FrameSink::state_updates(&mut w, 0, &mut frames);
+        with_ctx(timers, |ctx| {
+            app.compute_interest(ctx, observers);
+            app.encode_state_updates(ctx, observers, &mut sink);
+        });
+        frames
+            .into_iter()
+            .map(|(_, frame)| match Packet::from_bytes(&frame) {
+                Ok(Packet::StateUpdate { payload, .. }) => payload,
+                other => panic!("not a state update: {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
@@ -569,9 +670,7 @@ mod tests {
         let before = app.avatar(UserId(1)).unwrap().pos;
         let mut timers = ctx_timers();
         let batch = CommandBatch::movement(1.0, 0.0).to_bytes();
-        with_ctx(&mut timers, |ctx| {
-            app.apply_user_input(ctx, UserId(1), &batch)
-        });
+        apply_input(&mut app, &mut timers, UserId(1), &batch);
         let after = app.avatar(UserId(1)).unwrap().pos;
         assert!((after.x - before.x - app.world().move_speed).abs() < 1e-4);
         assert!(timers.get(TaskKind::Ua) > 0.0);
@@ -586,16 +685,14 @@ mod tests {
         app.on_user_connected(UserId(2));
         // Teleport them next to each other.
         let p = Vec2::new(500.0, 500.0);
-        app.avatars.get_mut(&UserId(1)).unwrap().pos = p;
-        app.avatars.get_mut(&UserId(2)).unwrap().pos = Vec2::new(510.0, 500.0);
+        app.avatar_mut(UserId(1)).unwrap().pos = p;
+        app.avatar_mut(UserId(2)).unwrap().pos = Vec2::new(510.0, 500.0);
 
         let mut timers = ctx_timers();
         let batch = CommandBatch::default()
             .with_attack(UserId(2), 25)
             .to_bytes();
-        let forwards = with_ctx(&mut timers, |ctx| {
-            app.apply_user_input(ctx, UserId(1), &batch)
-        });
+        let forwards = apply_input(&mut app, &mut timers, UserId(1), &batch);
         assert!(forwards.is_empty(), "local target: nothing to forward");
         assert_eq!(app.avatar(UserId(2)).unwrap().health, 75);
         assert_eq!(app.stats().hits_on_active, 1);
@@ -606,15 +703,13 @@ mod tests {
         let mut app = app();
         app.on_user_connected(UserId(1));
         app.on_user_connected(UserId(2));
-        app.avatars.get_mut(&UserId(1)).unwrap().pos = Vec2::new(0.0, 0.0);
-        app.avatars.get_mut(&UserId(2)).unwrap().pos = Vec2::new(900.0, 900.0);
+        app.avatar_mut(UserId(1)).unwrap().pos = Vec2::new(0.0, 0.0);
+        app.avatar_mut(UserId(2)).unwrap().pos = Vec2::new(900.0, 900.0);
         let mut timers = ctx_timers();
         let batch = CommandBatch::default()
             .with_attack(UserId(2), 25)
             .to_bytes();
-        with_ctx(&mut timers, |ctx| {
-            app.apply_user_input(ctx, UserId(1), &batch)
-        });
+        apply_input(&mut app, &mut timers, UserId(1), &batch);
         assert_eq!(app.avatar(UserId(2)).unwrap().health, 100);
     }
 
@@ -622,7 +717,7 @@ mod tests {
     fn attack_on_shadow_target_forwards_interaction() {
         let mut app = app();
         app.on_user_connected(UserId(1));
-        app.avatars.get_mut(&UserId(1)).unwrap().pos = Vec2::new(500.0, 500.0);
+        app.avatar_mut(UserId(1)).unwrap().pos = Vec2::new(500.0, 500.0);
         // Shadow next to the attacker, owned by server 9.
         let mut timers = ctx_timers();
         let mut w = WireWriter::new();
@@ -634,20 +729,16 @@ mod tests {
         }
         .encode(&mut w);
         let payload = w.finish();
-        with_ctx(&mut timers, |ctx| {
-            app.apply_replica_update(ctx, NodeId(9), &[UserId(2)], &payload)
-        });
+        apply_replica_update(&mut app, &mut timers, NodeId(9), &[UserId(2)], &payload);
         assert_eq!(app.avatar_count(), 2);
 
         let batch = CommandBatch::default()
             .with_attack(UserId(2), 30)
             .to_bytes();
-        let forwards = with_ctx(&mut timers, |ctx| {
-            app.apply_user_input(ctx, UserId(1), &batch)
-        });
+        let forwards = apply_input(&mut app, &mut timers, UserId(1), &batch);
         assert_eq!(forwards.len(), 1);
-        assert_eq!(forwards[0].target_user, UserId(2));
-        let interaction = Interaction::from_bytes(&forwards[0].payload).unwrap();
+        assert_eq!(forwards[0].0, UserId(2));
+        let interaction = Interaction::from_bytes(&forwards[0].1).unwrap();
         assert_eq!(interaction.damage, 30);
         assert_eq!(app.stats().interactions_forwarded, 1);
         // The shadow's health is NOT touched locally; the owner decides.
@@ -665,8 +756,9 @@ mod tests {
             damage: 40,
         }
         .to_bytes();
+        let envelopes = [Envelope::new(NodeId(9), 0, 0..payload.len())];
         with_ctx(&mut timers, |ctx| {
-            app.apply_forwarded_input(ctx, NodeId(9), &payload)
+            app.apply_forwarded_inputs(ctx, Batch::new(std::slice::from_ref(&payload), &envelopes))
         });
         assert_eq!(app.avatar(UserId(2)).unwrap().health, 60);
         assert_eq!(app.stats().interactions_received, 1);
@@ -692,17 +784,25 @@ mod tests {
             w.finish()
         };
         let users1 = [UserId(10), UserId(11)];
-        with_ctx(&mut timers, |ctx| {
-            app.apply_replica_update(ctx, NodeId(9), &users1, &make_payload(&[10, 11]))
-        });
+        apply_replica_update(
+            &mut app,
+            &mut timers,
+            NodeId(9),
+            &users1,
+            &make_payload(&[10, 11]),
+        );
         assert_eq!(app.avatar_count(), 2);
         assert!(!app.avatar(UserId(10)).unwrap().is_active());
 
         // Next update no longer lists user 11: it must be pruned.
         let users2 = [UserId(10)];
-        with_ctx(&mut timers, |ctx| {
-            app.apply_replica_update(ctx, NodeId(9), &users2, &make_payload(&[10]))
-        });
+        apply_replica_update(
+            &mut app,
+            &mut timers,
+            NodeId(9),
+            &users2,
+            &make_payload(&[10]),
+        );
         assert_eq!(app.avatar_count(), 1);
         assert!(app.avatar(UserId(11)).is_none());
     }
@@ -721,9 +821,7 @@ mod tests {
         }
         .encode(&mut w);
         let payload = w.finish();
-        with_ctx(&mut timers, |ctx| {
-            app.apply_replica_update(ctx, NodeId(9), &[UserId(1)], &payload)
-        });
+        apply_replica_update(&mut app, &mut timers, NodeId(9), &[UserId(1)], &payload);
         let a = app.avatar(UserId(1)).unwrap();
         assert!(a.is_active());
         assert_eq!(
@@ -738,12 +836,12 @@ mod tests {
         app.on_user_connected(UserId(1));
         app.on_user_connected(UserId(2));
         app.on_user_connected(UserId(3));
-        app.avatars.get_mut(&UserId(1)).unwrap().pos = Vec2::new(500.0, 500.0);
-        app.avatars.get_mut(&UserId(2)).unwrap().pos = Vec2::new(520.0, 500.0);
-        app.avatars.get_mut(&UserId(3)).unwrap().pos = Vec2::new(0.0, 0.0); // far away
+        app.avatar_mut(UserId(1)).unwrap().pos = Vec2::new(500.0, 500.0);
+        app.avatar_mut(UserId(2)).unwrap().pos = Vec2::new(520.0, 500.0);
+        app.avatar_mut(UserId(3)).unwrap().pos = Vec2::new(0.0, 0.0); // far away
 
         let mut timers = ctx_timers();
-        let payload = with_ctx(&mut timers, |ctx| app.state_update_for(ctx, UserId(1)));
+        let payload = state_updates(&mut app, &mut timers, &[UserId(1)]).remove(0);
         let mut r = WireReader::new(&payload);
         let count = r.get_u16().unwrap();
         assert_eq!(count, 2, "self + user 2; user 3 filtered by AoI");
@@ -755,11 +853,13 @@ mod tests {
     fn export_import_round_trip_preserves_state() {
         let mut src = app();
         src.on_user_connected(UserId(5));
-        src.avatars.get_mut(&UserId(5)).unwrap().health = 37;
-        src.avatars.get_mut(&UserId(5)).unwrap().kills = 4;
+        src.avatar_mut(UserId(5)).unwrap().health = 37;
+        src.avatar_mut(UserId(5)).unwrap().kills = 4;
 
         let mut timers = ctx_timers();
-        let blob = with_ctx(&mut timers, |ctx| src.export_user(ctx, UserId(5)));
+        let mut w = WireWriter::new();
+        with_ctx(&mut timers, |ctx| src.export_user(ctx, UserId(5), &mut w));
+        let blob = w.finish();
         assert!(
             src.avatar(UserId(5)).is_none(),
             "export removes the active copy"
@@ -781,17 +881,15 @@ mod tests {
         let mut app = app();
         app.on_user_connected(UserId(1));
         app.on_user_connected(UserId(2));
-        app.avatars.get_mut(&UserId(1)).unwrap().pos = Vec2::new(500.0, 500.0);
-        app.avatars.get_mut(&UserId(2)).unwrap().pos = Vec2::new(505.0, 500.0);
-        app.avatars.get_mut(&UserId(2)).unwrap().health = 10;
+        app.avatar_mut(UserId(1)).unwrap().pos = Vec2::new(500.0, 500.0);
+        app.avatar_mut(UserId(2)).unwrap().pos = Vec2::new(505.0, 500.0);
+        app.avatar_mut(UserId(2)).unwrap().health = 10;
 
         let mut timers = ctx_timers();
         let batch = CommandBatch::default()
             .with_attack(UserId(2), 25)
             .to_bytes();
-        with_ctx(&mut timers, |ctx| {
-            app.apply_user_input(ctx, UserId(1), &batch)
-        });
+        apply_input(&mut app, &mut timers, UserId(1), &batch);
         let victim = app.avatar(UserId(2)).unwrap();
         assert_eq!(victim.health, crate::avatar::MAX_HEALTH);
         assert_eq!(victim.deaths, 1);
@@ -800,56 +898,115 @@ mod tests {
     }
 
     #[test]
-    fn grid_backend_emits_identical_updates_and_charges() {
-        let build = |backend: AoiBackend| {
-            let mut app = app();
-            app.set_aoi_backend(backend);
-            for u in 0..40 {
-                app.on_user_connected(UserId(u));
-            }
-            app
-        };
-        let mut quad = build(AoiBackend::Quadratic);
-        let mut grid = build(AoiBackend::Grid);
-        assert_eq!(grid.aoi_backend(), AoiBackend::Grid);
+    fn updates_and_charges_equal_the_literal_scan() {
+        // The send phase against the oracle: per observer, the literal
+        // O(n²) scan over the avatars in ascending id order, one snapshot
+        // per entity, and the work units that scan reports.
+        let mut app = app();
         for u in 0..40 {
-            let mut t_quad = ctx_timers();
-            let mut t_grid = ctx_timers();
-            let p_quad = with_ctx(&mut t_quad, |ctx| quad.state_update_for(ctx, UserId(u)));
-            let p_grid = with_ctx(&mut t_grid, |ctx| grid.state_update_for(ctx, UserId(u)));
-            assert_eq!(p_grid, p_quad, "payload bytes diverge for user {u}");
-            assert_eq!(
-                t_grid.get(TaskKind::Aoi),
-                t_quad.get(TaskKind::Aoi),
-                "virtual t_aoi charge diverges for user {u}"
-            );
-            assert_eq!(t_grid.get(TaskKind::Su), t_quad.get(TaskKind::Su));
+            app.on_user_connected(UserId(u));
         }
+        let observers: Vec<UserId> = (0..40).map(UserId).collect();
+        let mut timers = ctx_timers();
+        let payloads = state_updates(&mut app, &mut timers, &observers);
+
+        let mut costs = CostModel::exact();
+        let mut expected = ctx_timers();
+        for (user, payload) in observers.iter().zip(&payloads) {
+            let me = app.avatar(*user).unwrap();
+            let everyone = observers.iter().map(|u| (*u, app.avatar(*u).unwrap().pos));
+            let aoi = crate::aoi::compute_aoi(app.world(), *user, &me.pos, everyone);
+            let mut w = WireWriter::new();
+            w.put_u16(aoi.visible.len() as u16 + 1);
+            AvatarSnapshot::from(me).encode(&mut w);
+            for seen in &aoi.visible {
+                AvatarSnapshot::from(app.avatar(*seen).unwrap()).encode(&mut w);
+            }
+            assert_eq!(*payload, w.finish(), "payload bytes diverge for {user}");
+            costs.charge_aoi(&mut expected, aoi.pairs_checked, aoi.dedup_scans);
+            costs.charge_su(&mut expected, aoi.visible.len() + 1, payload.len());
+        }
+        assert_eq!(timers.get(TaskKind::Aoi), expected.get(TaskKind::Aoi));
+        assert_eq!(timers.get(TaskKind::Su), expected.get(TaskKind::Su));
     }
 
     #[test]
-    fn grid_cache_invalidates_across_ticks() {
+    fn interest_is_recomputed_every_tick() {
         let mut app = app();
-        app.set_aoi_backend(AoiBackend::Grid);
         app.on_user_connected(UserId(1));
         app.on_user_connected(UserId(2));
-        app.avatars.get_mut(&UserId(1)).unwrap().pos = Vec2::new(500.0, 500.0);
-        app.avatars.get_mut(&UserId(2)).unwrap().pos = Vec2::new(520.0, 500.0);
+        app.avatar_mut(UserId(1)).unwrap().pos = Vec2::new(500.0, 500.0);
+        app.avatar_mut(UserId(2)).unwrap().pos = Vec2::new(520.0, 500.0);
         let mut timers = ctx_timers();
-        let tick0 = with_ctx(&mut timers, |ctx| app.state_update_for(ctx, UserId(1)));
+        let tick0 = state_updates(&mut app, &mut timers, &[UserId(1)]).remove(0);
         let mut r = WireReader::new(&tick0);
         assert_eq!(r.get_u16().unwrap(), 2, "both visible at tick 0");
 
         // User 2 walks out of range; the next tick must see fresh data.
-        app.avatars.get_mut(&UserId(2)).unwrap().pos = Vec2::new(0.0, 0.0);
-        let mut ctx = TickCtx {
-            tick: 1,
-            server: NodeId(0),
-            timers: &mut timers,
-        };
-        let tick1 = app.state_update_for(&mut ctx, UserId(1));
+        app.avatar_mut(UserId(2)).unwrap().pos = Vec2::new(0.0, 0.0);
+        let tick1 = state_updates(&mut app, &mut timers, &[UserId(1)]).remove(0);
         let mut r = WireReader::new(&tick1);
         assert_eq!(r.get_u16().unwrap(), 1, "only self visible at tick 1");
+    }
+
+    #[test]
+    fn unknown_observer_gets_an_empty_update_and_no_charge() {
+        let mut app = app();
+        app.on_user_connected(UserId(1));
+        let mut timers = ctx_timers();
+        let payloads = state_updates(&mut app, &mut timers, &[UserId(1), UserId(9)]);
+        assert!(!payloads[0].is_empty());
+        assert!(payloads[1].is_empty());
+        let mut alone = ctx_timers();
+        state_updates(&mut app, &mut alone, &[UserId(1)]);
+        assert_eq!(timers.get(TaskKind::Su), alone.get(TaskKind::Su));
+    }
+
+    #[test]
+    fn replica_update_with_unsorted_duplicated_snapshots_keeps_the_table_sorted() {
+        let mut app = app();
+        app.on_user_connected(UserId(5));
+        let mut timers = ctx_timers();
+        let mut w = WireWriter::new();
+        w.put_u16(4);
+        for (nth, user) in [9, 3, 9, 7].into_iter().enumerate() {
+            AvatarSnapshot {
+                user: UserId(user),
+                pos: Vec2::new(user as f32, 1.0),
+                health: 50 + nth as i32,
+            }
+            .encode(&mut w);
+        }
+        let listed = [UserId(3), UserId(7), UserId(9)];
+        apply_replica_update(&mut app, &mut timers, NodeId(9), &listed, &w.finish());
+        let ids: Vec<u64> = app.avatars.iter().map(|s| s.avatar.user.0).collect();
+        assert_eq!(ids, [3, 5, 7, 9]);
+        assert!(app.avatar(UserId(5)).unwrap().is_active());
+        assert_eq!(app.avatar(UserId(9)).unwrap().health, 52, "the later state");
+    }
+
+    // In a debug build the oversized list trips the `debug_assert!`; in a
+    // release build it is cut to the first 65 535 entries.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "entries in one update"))]
+    fn entry_count_is_clamped_not_wrapped() {
+        let mut app = app();
+        let users = u64::from(u16::MAX) + 5;
+        for u in 0..users {
+            app.on_user_connected(UserId(u));
+        }
+        let mut timers = ctx_timers();
+        let mut w = WireWriter::new();
+        with_ctx(&mut timers, |ctx| app.encode_replica_update(ctx, &mut w));
+        let payload = w.finish();
+        let mut r = WireReader::new(&payload);
+        assert_eq!(r.get_u16().unwrap(), u16::MAX);
+        let mut listed = 0u64;
+        while let Ok(snap) = AvatarSnapshot::decode(&mut r) {
+            assert_eq!(snap.user, UserId(listed), "the first entries, in order");
+            listed += 1;
+        }
+        assert_eq!(listed, u64::from(u16::MAX));
     }
 
     #[test]
@@ -867,9 +1024,7 @@ mod tests {
         let mut app = app();
         app.on_user_connected(UserId(1));
         let mut timers = ctx_timers();
-        let forwards = with_ctx(&mut timers, |ctx| {
-            app.apply_user_input(ctx, UserId(1), &[0xFF, 0x01])
-        });
+        let forwards = apply_input(&mut app, &mut timers, UserId(1), &[0xFF, 0x01]);
         assert!(forwards.is_empty());
         assert_eq!(app.stats().moves_applied, 0);
     }

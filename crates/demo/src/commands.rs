@@ -91,6 +91,24 @@ impl CommandBatch {
             .iter()
             .any(|c| matches!(c, Command::Attack { .. }))
     }
+
+    /// Decodes a batch by appending its commands to `out` — the form the
+    /// server's input phase uses to decode a whole tick's batches into
+    /// one buffer. On error `out` is left as it was.
+    pub fn decode_into(r: &mut WireReader<'_>, out: &mut Vec<Command>) -> Result<(), WireError> {
+        let from = out.len();
+        let count = r.get_u8()?;
+        for _ in 0..count {
+            match Command::decode(r) {
+                Ok(command) => out.push(command),
+                Err(e) => {
+                    out.truncate(from);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Wire for CommandBatch {
@@ -102,11 +120,8 @@ impl Wire for CommandBatch {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u8()? as usize;
-        let mut commands = Vec::with_capacity(count);
-        for _ in 0..count {
-            commands.push(Command::decode(r)?);
-        }
+        let mut commands = Vec::new();
+        Self::decode_into(r, &mut commands)?;
         Ok(Self { commands })
     }
 }

@@ -23,8 +23,8 @@ pub mod commands;
 pub mod npc;
 pub mod world;
 
-pub use aoi::{compute_aoi, AoiGrid, AoiResult};
-pub use app::{AoiBackend, GameStats, RtfDemoApp};
+pub use aoi::{compute_aoi, dedup_scans_for, AoiGrid, AoiResult};
+pub use app::{GameStats, RtfDemoApp};
 pub use avatar::{Avatar, AvatarSnapshot, MAX_HEALTH};
 pub use bot::{Bot, BotBehavior};
 pub use calibration::{CostModel, CostRates};

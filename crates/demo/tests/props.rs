@@ -1,12 +1,22 @@
 //! Property-based tests of the game logic: interest-management geometry,
 //! command/avatar serialization, combat arithmetic and work-unit counting.
 
+mod reference;
+
+use bytes::Bytes;
 use proptest::prelude::*;
+use reference::RefServer;
 use rtf_core::entity::{Rect, UserId, Vec2};
-use rtf_core::wire::Wire;
+use rtf_core::event::Packet;
+use rtf_core::server::{Server, ServerConfig};
+use rtf_core::wire::{Wire, WireWriter};
+use rtf_core::zone::ZoneId;
+use rtf_net::{Bus, Endpoint, NodeId};
 use rtfdemo::{
-    compute_aoi, AoiGrid, Avatar, AvatarSnapshot, Command, CommandBatch, World, MAX_HEALTH,
+    compute_aoi, AoiGrid, Avatar, AvatarSnapshot, Command, CommandBatch, CostModel, CostRates,
+    Interaction, RtfDemoApp, World, MAX_HEALTH,
 };
+use std::collections::BTreeMap;
 
 fn arb_pos() -> impl Strategy<Value = Vec2> {
     (0.0f32..1000.0, 0.0f32..1000.0).prop_map(|(x, y)| Vec2::new(x, y))
@@ -168,4 +178,404 @@ proptest! {
             prop_assert_eq!(fast.dedup_scans, quad.dedup_scans);
         }
     }
+}
+
+// --- The phase pipeline against the literal reference -------------------
+//
+// `Server<RtfDemoApp>` runs a tick as batched phases over dense state;
+// `reference::RefServer` runs the same tick one item at a time. Fed the
+// same traffic they must send byte-identical frames in the same order on
+// every link and account bit-identical virtual seconds per task — with
+// measurement noise on, so the order of cost-model charges is checked too.
+
+/// SplitMix64: the script's only source of randomness.
+struct Script(u64);
+
+impl Script {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+    fn chance(&mut self, percent: u64) -> bool {
+        self.next() % 100 < percent
+    }
+    fn pick(&mut self, from: &[UserId]) -> UserId {
+        from.get(self.below(from.len()))
+            .copied()
+            .unwrap_or(UserId(u64::MAX))
+    }
+    fn pos(&mut self, side: f32) -> Vec2 {
+        let f = |v: u64| (v >> 40) as f32 / (1u64 << 24) as f32 * side;
+        Vec2::new(f(self.next()), f(self.next()))
+    }
+}
+
+/// The two servers under comparison and the endpoints around them.
+struct Rig {
+    bus: Bus,
+    server: Server<RtfDemoApp>,
+    literal: RefServer,
+    /// Every endpoint a frame can be addressed to, by node id.
+    endpoints: BTreeMap<NodeId, Endpoint>,
+    inbox: Vec<Bytes>,
+}
+
+impl Rig {
+    fn new(side: f32, radius: f32, scale: f64, seed: u64) -> Self {
+        let world = World {
+            bounds: Rect::square(side),
+            aoi_radius: radius,
+            ..World::default()
+        };
+        let bus = Bus::new();
+        let costs = || CostModel::new(CostRates::default(), 0.08, seed);
+        let mut app = RtfDemoApp::new(world.clone(), 0, costs());
+        app.set_aoi_scale(scale);
+        let mut server = Server::new(&bus, "pipeline", ZoneId(1), app, ServerConfig::default());
+        let peers: Vec<Endpoint> = (0..2).map(|_| bus.register("peer")).collect();
+        let peer_ids: Vec<NodeId> = peers.iter().map(Endpoint::id).collect();
+        server.set_peers(peer_ids.clone());
+        let literal_world = World {
+            aoi_radius: server.app().world().aoi_radius,
+            ..world
+        };
+        let literal = RefServer::new(server.id(), peer_ids, literal_world, costs());
+        Self {
+            bus,
+            server,
+            literal,
+            endpoints: peers.into_iter().map(|e| (e.id(), e)).collect(),
+            inbox: Vec::new(),
+        }
+    }
+
+    fn peer(&self, i: usize) -> NodeId {
+        self.literal.peers[i]
+    }
+
+    fn new_endpoint(&mut self) -> NodeId {
+        let endpoint = self.bus.register("client");
+        let id = endpoint.id();
+        self.endpoints.insert(id, endpoint);
+        id
+    }
+
+    fn connect(&mut self, user: UserId) {
+        let client = self.new_endpoint();
+        assert!(self.server.connect_user(user, client));
+        self.literal.connect_user(user, client);
+    }
+
+    /// Delivers `pkt` from `from` to both servers.
+    fn deliver(&mut self, from: NodeId, pkt: &Packet) {
+        self.deliver_raw(from, pkt.to_bytes());
+    }
+
+    fn deliver_raw(&mut self, from: NodeId, frame: Bytes) {
+        let sender = self.endpoints.get(&from).expect("known sender");
+        sender.send(self.server.id(), frame.clone()).expect("sent");
+        self.inbox.push(frame);
+    }
+
+    fn migrate_out(&mut self, user: UserId, target: NodeId) {
+        self.server.schedule_migration(user, target);
+        self.literal.pending_migrations.push_back((user, target));
+    }
+
+    /// A replica update from `origin` carrying `snapshots`, listing `users`.
+    fn replica_update(&mut self, origin: NodeId, users: Vec<UserId>, snapshots: &[AvatarSnapshot]) {
+        let mut w = WireWriter::new();
+        w.put_u16(snapshots.len() as u16);
+        for snap in snapshots {
+            snap.encode(&mut w);
+        }
+        let update = Packet::ReplicaUpdate {
+            origin,
+            users,
+            payload: w.finish(),
+        };
+        self.deliver(origin, &update);
+    }
+
+    /// Ticks both servers on what was delivered and compares everything
+    /// observable.
+    fn tick_and_compare(&mut self, what: &str) -> Result<(), String> {
+        let record = self.server.tick();
+        let expected = self.literal.tick(&std::mem::take(&mut self.inbox));
+        let mut per_link: BTreeMap<NodeId, Vec<Bytes>> = BTreeMap::new();
+        for (to, frame) in expected.sent {
+            per_link.entry(to).or_default().push(frame);
+        }
+        for (id, endpoint) in &self.endpoints {
+            let got: Vec<Bytes> = endpoint.drain().into_iter().map(|m| m.payload).collect();
+            let want = per_link.remove(id).unwrap_or_default();
+            if got != want {
+                let at = got.iter().zip(&want).position(|(g, w)| g != w);
+                return Err(format!(
+                    "{what}: frames to {id} diverge at {at:?} ({} sent, {} expected)",
+                    got.len(),
+                    want.len()
+                ));
+            }
+        }
+        if let Some((to, frames)) = per_link.into_iter().find(|(_, f)| !f.is_empty()) {
+            // Only frames to endpoints that no longer exist may be left.
+            if self.endpoints.contains_key(&to) {
+                return Err(format!(
+                    "{what}: {} frames to {to} never sent",
+                    frames.len()
+                ));
+            }
+        }
+        let bits = |t: &[f64]| t.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        if bits(&record.per_task) != bits(&expected.per_task) {
+            return Err(format!(
+                "{what}: virtual per-task seconds diverge: {:?} vs {:?}",
+                record.per_task, expected.per_task
+            ));
+        }
+        let counts = (
+            record.active_users,
+            record.shadow_users,
+            record.inputs_processed,
+            record.forwarded_processed,
+        );
+        let expected_counts = (
+            expected.active_users,
+            expected.shadow_users,
+            expected.inputs_processed,
+            expected.forwarded_processed,
+        );
+        if counts != expected_counts {
+            return Err(format!(
+                "{what}: counters {counts:?} vs {expected_counts:?}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// One input per user in `from`: a move, usually an attack on someone
+    /// in `targets`, now and then garbage.
+    fn inputs(&mut self, script: &mut Script, from: &[UserId], targets: &[UserId]) {
+        for (seq, &user) in from.iter().enumerate() {
+            let Some(&client) = self.literal.clients.get(&user) else {
+                continue;
+            };
+            let payload = if script.chance(3) {
+                Bytes::from_static(&[0xFF, 0x01, 0x02])
+            } else {
+                let angle = script.next() as f32;
+                let mut batch = CommandBatch::movement(angle.cos(), angle.sin());
+                if script.chance(70) {
+                    batch = batch.with_attack(script.pick(targets), 10 + script.below(140) as u16);
+                }
+                batch.to_bytes()
+            };
+            let input = Packet::UserInput {
+                user,
+                seq: seq as u32,
+                payload,
+            };
+            self.deliver(client, &input);
+        }
+    }
+}
+
+fn snapshot(script: &mut Script, user: UserId, side: f32) -> AvatarSnapshot {
+    AvatarSnapshot {
+        user,
+        pos: script.pos(side),
+        health: 1 + script.below(MAX_HEALTH as usize) as i32,
+    }
+}
+
+/// Builds a population of `actives` connected users and `shadows` mirrored
+/// ones, then plays two ticks of everything a tick can contain.
+fn scripted_ticks_match_reference(
+    side: f32,
+    radius: f32,
+    scale: f64,
+    actives: usize,
+    shadows: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let mut script = Script(seed);
+    let mut rig = Rig::new(side, radius, scale, seed);
+    let (p0, p1) = (rig.peer(0), rig.peer(1));
+
+    // Distinct ids, interleaved between owners so the sorted avatar table
+    // mixes active and shadow rows.
+    let mut ids: Vec<UserId> = (0..(actives + shadows + 8) as u64)
+        .map(|i| UserId(i * 3 + script.next() % 3))
+        .collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, script.below(i + 1));
+    }
+    let spare = ids.split_off(actives + shadows);
+    let mut mine = ids.split_off(shadows);
+    let (of_p0, of_p1) = ids.split_at(shadows / 2);
+    let (mut of_p0, mut of_p1) = (of_p0.to_vec(), of_p1.to_vec());
+    of_p0.sort_unstable();
+    of_p1.sort_unstable();
+
+    // Tick 0: everyone appears.
+    for &user in &mine {
+        rig.connect(user);
+    }
+    for (origin, users) in [(p0, &of_p0), (p1, &of_p1)] {
+        let snaps: Vec<_> = users
+            .iter()
+            .map(|&u| snapshot(&mut script, u, side))
+            .collect();
+        rig.replica_update(origin, users.clone(), &snaps);
+    }
+    rig.tick_and_compare("tick 0")?;
+
+    // Tick 1: inputs, both kinds of peer traffic, both migration
+    // directions, a join and a leave — all in one tick.
+    let everyone: Vec<UserId> = mine
+        .iter()
+        .chain(&of_p0)
+        .chain(&of_p1)
+        .chain(&spare[..2])
+        .copied()
+        .collect();
+    let senders: Vec<UserId> = mine.iter().copied().filter(|_| script.chance(85)).collect();
+    rig.inputs(&mut script, &senders, &everyone);
+    // An input from a user that is not connected here is dropped.
+    let stranger = Packet::UserInput {
+        user: spare[0],
+        seq: 0,
+        payload: CommandBatch::movement(1.0, 0.0).to_bytes(),
+    };
+    rig.deliver(p0, &stranger);
+
+    // Peer 0: keeps most of its users (moved), drops some, gains one; its
+    // user list arrives shuffled and with a duplicate, and so do the
+    // snapshots.
+    let mut kept: Vec<UserId> = of_p0
+        .iter()
+        .copied()
+        .filter(|_| script.chance(80))
+        .collect();
+    kept.push(spare[2]);
+    let mut snaps: Vec<_> = kept
+        .iter()
+        .map(|&u| snapshot(&mut script, u, side))
+        .collect();
+    if let Some(first) = kept.first().copied() {
+        kept.push(first);
+        snaps.push(snapshot(&mut script, first, side));
+    }
+    for i in (1..kept.len()).rev() {
+        let j = script.below(i + 1);
+        kept.swap(i, j);
+        snaps.swap(i, j);
+    }
+    rig.replica_update(p0, kept, &snaps);
+    // Peer 1: sorted as usual, but it also claims one of our users (a
+    // migration race — never demoted) and one of peer 0's.
+    let mut claimed = of_p1.clone();
+    claimed.extend(mine.first());
+    claimed.extend(of_p0.first());
+    claimed.sort_unstable();
+    let snaps: Vec<_> = claimed
+        .iter()
+        .map(|&u| snapshot(&mut script, u, side))
+        .collect();
+    rig.replica_update(p1, claimed, &snaps);
+
+    // Forwarded interactions: on active targets (some lethal), on a
+    // shadow (ignored), and garbage.
+    for _ in 0..(mine.len() / 3 + 2) {
+        let interaction = Interaction {
+            attacker: script.pick(&of_p0),
+            target: script.pick(&everyone),
+            damage: 20 + script.below(130) as u16,
+        };
+        let forwarded = Packet::ForwardedInput {
+            origin: p0,
+            payload: interaction.to_bytes(),
+        };
+        rig.deliver(p0, &forwarded);
+    }
+    let garbage = Packet::ForwardedInput {
+        origin: p1,
+        payload: Bytes::from_static(b"?"),
+    };
+    rig.deliver(p1, &garbage);
+
+    // A user migrates in from peer 1 (it was a shadow here until now)...
+    if let Some(&arriving) = of_p1.last() {
+        let mut avatar = Avatar::spawn(arriving, script.pos(side));
+        avatar.health = 42;
+        avatar.kills = 3;
+        let data = Packet::MigrationData {
+            user: arriving,
+            client: rig.new_endpoint(),
+            payload: avatar.to_bytes(),
+        };
+        rig.deliver(p1, &data);
+        mine.push(arriving);
+    }
+    // ... one migrates out, one leaves, one joins.
+    if mine.len() > 3 {
+        rig.migrate_out(mine[1], p1);
+        let leaving = mine[2];
+        let client = rig.literal.clients[&leaving];
+        rig.deliver(client, &Packet::Disconnect { user: leaving });
+    }
+    let joining = Packet::Connect {
+        user: spare[3],
+        client: rig.new_endpoint(),
+    };
+    let from = rig.new_endpoint();
+    rig.deliver(from, &joining);
+    mine.push(spare[3]);
+    rig.tick_and_compare("tick 1")?;
+
+    // Tick 2: whatever state tick 1 left behind must agree too.
+    let senders = mine.clone();
+    rig.inputs(&mut script, &senders, &everyone);
+    rig.tick_and_compare("tick 2")
+}
+
+/// The AoI fidelity settings degraded mode moves between, plus "off".
+const AOI_SCALES: [f64; 4] = [0.0, 1e-3, 0.6, 1.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn batched_phases_match_the_literal_reference(
+        side in 200.0f32..3000.0,
+        radius in 1.0f32..600.0,
+        scale in 0usize..4,
+        actives in 0usize..300,
+        shadows in 0usize..300,
+        seed in any::<u64>(),
+    ) {
+        let outcome =
+            scripted_ticks_match_reference(side, radius, AOI_SCALES[scale], actives, shadows, seed);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+}
+
+#[test]
+fn batched_phases_match_the_literal_reference_at_the_operating_point() {
+    // The paper's shape — 100 active users beside 300 shadows in the
+    // default world — at every fidelity, and the empty and tiny corners.
+    for (i, scale) in AOI_SCALES.into_iter().enumerate() {
+        scripted_ticks_match_reference(1000.0, 150.0, scale, 100, 300, 7 + i as u64).unwrap();
+    }
+    scripted_ticks_match_reference(1000.0, 150.0, 1.0, 0, 0, 1).unwrap();
+    scripted_ticks_match_reference(1000.0, 150.0, 1.0, 1, 0, 2).unwrap();
+    scripted_ticks_match_reference(1000.0, 150.0, 1.0, 0, 5, 3).unwrap();
+    scripted_ticks_match_reference(400.0, 900.0, 1.0, 300, 300, 4).unwrap();
 }

@@ -86,6 +86,12 @@ struct BusInner {
     /// flushes and `advance` walk links in a stable order, and so both skip
     /// the (potentially many) idle links entirely.
     pending: BTreeSet<(NodeId, NodeId)>,
+    /// Links with an unregistered end that still had traffic in flight
+    /// when it left; each is forgotten once it has drained.
+    doomed: BTreeSet<(NodeId, NodeId)>,
+    /// Counters of the links forgotten so far, so the bus-wide totals
+    /// never go backwards.
+    retired: LinkTraffic,
 }
 
 /// Normalizes an unordered node pair for the partition set.
@@ -150,6 +156,23 @@ impl BusInner {
                 link.bytes_delivered = link.bytes_delivered.saturating_sub(lost_bytes);
             }
         }
+        if emptied && !self.doomed.is_empty() && self.doomed.remove(&key) {
+            self.retire_link(key);
+        }
+    }
+
+    /// Forgets a link that can never carry traffic again — an end of it
+    /// is unregistered (node ids are never reused) and nothing is in
+    /// flight — moving its counters into `retired`. Without this, every
+    /// endpoint that ever joined would pin its links' staging queues for
+    /// the lifetime of the bus.
+    fn retire_link(&mut self, key: (NodeId, NodeId)) {
+        if let Some(link) = self.links.remove(&key) {
+            self.retired.bytes_sent += link.bytes_sent;
+            self.retired.bytes_delivered += link.bytes_delivered;
+            self.retired.messages_sent += link.messages_sent;
+            self.retired.messages_dropped += link.messages_dropped;
+        }
     }
 }
 
@@ -193,9 +216,28 @@ impl Bus {
         }
     }
 
-    /// Removes an endpoint; in-flight messages to it are dropped on arrival.
+    /// Removes an endpoint; in-flight messages to it are dropped on
+    /// arrival (and counted as dropped). Its idle links are forgotten at
+    /// once, the others as soon as they have drained. Dropping the
+    /// [`Endpoint`] does this too.
     pub fn unregister(&self, id: NodeId) {
-        self.inner.lock().nodes.remove(&id);
+        let mut inner = self.inner.lock();
+        if inner.nodes.remove(&id).is_none() {
+            return;
+        }
+        let touching: Vec<(NodeId, NodeId)> = inner
+            .links
+            .keys()
+            .filter(|(from, to)| *from == id || *to == id)
+            .copied()
+            .collect();
+        for key in touching {
+            if inner.links.get(&key).is_some_and(|l| l.in_flight() > 0) {
+                inner.doomed.insert(key);
+            } else {
+                inner.retire_link(key);
+            }
+        }
     }
 
     /// The label an endpoint registered with.
@@ -206,6 +248,11 @@ impl Bus {
     /// Number of registered endpoints.
     pub fn node_count(&self) -> usize {
         self.inner.lock().nodes.len()
+    }
+
+    /// Number of directed links the bus currently keeps state for.
+    pub fn link_count(&self) -> usize {
+        self.inner.lock().links.len()
     }
 
     /// Configures the directed link `from → to`.
@@ -362,7 +409,10 @@ impl Bus {
                 },
             );
         }
-        TrafficStats { per_link }
+        TrafficStats {
+            per_link,
+            retired: inner.retired,
+        }
     }
 }
 
@@ -382,10 +432,14 @@ pub struct LinkTraffic {
     pub in_flight: u64,
 }
 
-/// Aggregated traffic statistics for the whole bus.
+/// Aggregated traffic statistics for the whole bus. The per-link and
+/// per-node views cover the links that still exist; the bus-wide totals
+/// also include the links forgotten since an end of theirs unregistered,
+/// so they only ever grow.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     per_link: BTreeMap<(NodeId, NodeId), LinkTraffic>,
+    retired: LinkTraffic,
 }
 
 impl TrafficStats {
@@ -396,17 +450,22 @@ impl TrafficStats {
 
     /// Total payload bytes sent across all links.
     pub fn total_bytes_sent(&self) -> u64 {
-        self.per_link.values().map(|l| l.bytes_sent).sum()
+        self.retired.bytes_sent + self.per_link.values().map(|l| l.bytes_sent).sum::<u64>()
     }
 
     /// Total messages sent across all links.
     pub fn total_messages(&self) -> u64 {
-        self.per_link.values().map(|l| l.messages_sent).sum()
+        self.retired.messages_sent + self.per_link.values().map(|l| l.messages_sent).sum::<u64>()
     }
 
     /// Total messages lost across all links (faults, partitions, isolation).
     pub fn total_dropped(&self) -> u64 {
-        self.per_link.values().map(|l| l.messages_dropped).sum()
+        self.retired.messages_dropped
+            + self
+                .per_link
+                .values()
+                .map(|l| l.messages_dropped)
+                .sum::<u64>()
     }
 
     /// Bytes sent from `node` to anyone (the paper's \[10\] observed this
@@ -475,6 +534,14 @@ impl Endpoint {
         while let Some(m) = self.try_recv() {
             out.push(m);
         }
+    }
+}
+
+impl Drop for Endpoint {
+    /// A dropped endpoint can never receive again: leave the bus, so the
+    /// node entry, its inbox channel and its links do not outlive it.
+    fn drop(&mut self) {
+        self.bus.unregister(self.id);
     }
 }
 
@@ -722,12 +789,48 @@ mod tests {
         bus.set_link(a.id(), b.id(), LinkSpec::with_latency(2));
         a.send(b.id(), Bytes::from(vec![0u8; 16])).unwrap();
         bus.unregister(b.id());
+        assert_eq!(bus.link_count(), 1, "a link with traffic in flight stays");
+        assert_eq!(bus.stats().link(a.id(), b.id()).in_flight, 1);
         bus.advance(2);
-        let link = bus.stats().link(a.id(), b.id());
-        assert_eq!(link.messages_dropped, 1, "in-flight loss must be counted");
-        assert_eq!(link.bytes_delivered, 0, "nothing reached an inbox");
-        assert_eq!(link.in_flight, 0);
-        assert_eq!(bus.stats().total_dropped(), 1);
+        assert_eq!(bus.stats().total_dropped(), 1, "in-flight loss is counted");
+        assert_eq!(bus.stats().total_messages(), 1);
+        assert_eq!(bus.stats().total_bytes_sent(), 16);
+        assert_eq!(bus.link_count(), 0, "drained, and `b` is gone for good");
+        assert_eq!(bus.stats().link(a.id(), b.id()), LinkTraffic::default());
+    }
+
+    #[test]
+    fn departed_endpoints_leave_no_links_behind() {
+        // Ten thousand clients come, exchange a message with the server
+        // and go — alternately by `unregister` and by dropping the
+        // endpoint. The bus must keep state for live endpoints only,
+        // while its totals stay what they would be had it kept every link.
+        let bus = Bus::new();
+        let server = bus.register("server");
+        let (mut messages, mut bytes) = (0u64, 0u64);
+        for i in 0..10_000u32 {
+            let client = bus.register("client");
+            let hello = Bytes::from(vec![0u8; 1 + (i % 7) as usize]);
+            bytes += 2 * hello.len() as u64;
+            messages += 2;
+            client.send(server.id(), hello.clone()).unwrap();
+            server.send(client.id(), hello).unwrap();
+            assert_eq!(client.drain().len(), 1);
+            if i % 2 == 0 {
+                bus.unregister(client.id());
+            }
+            drop(client);
+            assert_eq!(bus.link_count(), 0, "client {i} left links behind");
+            assert_eq!(bus.node_count(), 1);
+        }
+        assert_eq!(server.drain().len(), 10_000);
+        let stats = bus.stats();
+        assert_eq!(stats.total_messages(), messages);
+        assert_eq!(stats.total_bytes_sent(), bytes);
+        assert_eq!(stats.total_dropped(), 0);
+        // A send to a departed endpoint fails instead of opening a link.
+        assert!(server.send(NodeId(5), Bytes::from_static(b"late")).is_err());
+        assert_eq!(bus.link_count(), 0);
     }
 
     #[test]

@@ -91,15 +91,190 @@ pub enum Packet {
     },
 }
 
+/// The user ids listed by a [`PacketRef::ReplicaUpdate`], still in wire
+/// form (eight little-endian bytes each).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UserIds<'a>(&'a [u8]);
+
+impl<'a> UserIds<'a> {
+    /// Number of listed users.
+    pub fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    /// Whether no user is listed.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The ids, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = UserId> + 'a {
+        self.0.chunks_exact(8).map(|chunk| {
+            let mut id = [0u8; 8];
+            id.copy_from_slice(chunk);
+            UserId(u64::from_le_bytes(id))
+        })
+    }
+}
+
+/// A decoded [`Packet`] that borrows its variable-length parts from the
+/// receive buffer instead of copying them. This is the parser;
+/// [`Packet::decode`] is this plus [`PacketRef::to_packet`]. The receive
+/// path of a tick works on `PacketRef`s so an opaque application payload
+/// is never copied between the inbox and the application.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[allow(missing_docs)] // fields mirror `Packet`'s, documented there
+pub enum PacketRef<'a> {
+    Connect {
+        user: UserId,
+        client: NodeId,
+    },
+    ConnectAck {
+        user: UserId,
+    },
+    Disconnect {
+        user: UserId,
+    },
+    UserInput {
+        user: UserId,
+        seq: u32,
+        payload: &'a [u8],
+    },
+    ForwardedInput {
+        origin: NodeId,
+        payload: &'a [u8],
+    },
+    ReplicaUpdate {
+        origin: NodeId,
+        users: UserIds<'a>,
+        payload: &'a [u8],
+    },
+    StateUpdate {
+        user: UserId,
+        tick: u64,
+        payload: &'a [u8],
+    },
+    MigrationData {
+        user: UserId,
+        client: NodeId,
+        payload: &'a [u8],
+    },
+    Redirect {
+        user: UserId,
+        new_server: NodeId,
+    },
+}
+
+impl<'a> PacketRef<'a> {
+    /// Decodes one packet. In every payload-carrying variant the payload
+    /// is the last field, so afterwards [`WireReader::position`] is the
+    /// offset one past the payload's last byte.
+    pub fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        let tag = r.get_u8()?;
+        Ok(match tag {
+            Packet::TAG_CONNECT => PacketRef::Connect {
+                user: UserId(r.get_u64()?),
+                client: NodeId(r.get_u32()?),
+            },
+            Packet::TAG_CONNECT_ACK => PacketRef::ConnectAck {
+                user: UserId(r.get_u64()?),
+            },
+            Packet::TAG_DISCONNECT => PacketRef::Disconnect {
+                user: UserId(r.get_u64()?),
+            },
+            Packet::TAG_USER_INPUT => PacketRef::UserInput {
+                user: UserId(r.get_u64()?),
+                seq: r.get_u32()?,
+                payload: r.get_bytes()?,
+            },
+            Packet::TAG_FORWARDED => PacketRef::ForwardedInput {
+                origin: NodeId(r.get_u32()?),
+                payload: r.get_bytes()?,
+            },
+            Packet::TAG_REPLICA_UPDATE => {
+                let origin = NodeId(r.get_u32()?);
+                let count = u64::from(r.get_u32()?);
+                let listed = usize::try_from(count * 8).map_err(|_| WireError::BadLength(count))?;
+                PacketRef::ReplicaUpdate {
+                    origin,
+                    users: UserIds(r.get_raw(listed)?),
+                    payload: r.get_bytes()?,
+                }
+            }
+            Packet::TAG_STATE_UPDATE => PacketRef::StateUpdate {
+                user: UserId(r.get_u64()?),
+                tick: r.get_u64()?,
+                payload: r.get_bytes()?,
+            },
+            Packet::TAG_MIGRATION_DATA => PacketRef::MigrationData {
+                user: UserId(r.get_u64()?),
+                client: NodeId(r.get_u32()?),
+                payload: r.get_bytes()?,
+            },
+            Packet::TAG_REDIRECT => PacketRef::Redirect {
+                user: UserId(r.get_u64()?),
+                new_server: NodeId(r.get_u32()?),
+            },
+            t => return Err(WireError::BadTag(t)),
+        })
+    }
+
+    /// Copies the borrowed parts into an owned [`Packet`].
+    pub fn to_packet(&self) -> Packet {
+        match *self {
+            PacketRef::Connect { user, client } => Packet::Connect { user, client },
+            PacketRef::ConnectAck { user } => Packet::ConnectAck { user },
+            PacketRef::Disconnect { user } => Packet::Disconnect { user },
+            PacketRef::UserInput { user, seq, payload } => Packet::UserInput {
+                user,
+                seq,
+                payload: Bytes::copy_from_slice(payload),
+            },
+            PacketRef::ForwardedInput { origin, payload } => Packet::ForwardedInput {
+                origin,
+                payload: Bytes::copy_from_slice(payload),
+            },
+            PacketRef::ReplicaUpdate {
+                origin,
+                users,
+                payload,
+            } => Packet::ReplicaUpdate {
+                origin,
+                users: users.iter().collect(),
+                payload: Bytes::copy_from_slice(payload),
+            },
+            PacketRef::StateUpdate {
+                user,
+                tick,
+                payload,
+            } => Packet::StateUpdate {
+                user,
+                tick,
+                payload: Bytes::copy_from_slice(payload),
+            },
+            PacketRef::MigrationData {
+                user,
+                client,
+                payload,
+            } => Packet::MigrationData {
+                user,
+                client,
+                payload: Bytes::copy_from_slice(payload),
+            },
+            PacketRef::Redirect { user, new_server } => Packet::Redirect { user, new_server },
+        }
+    }
+}
+
 impl Packet {
     const TAG_CONNECT: u8 = 1;
     const TAG_CONNECT_ACK: u8 = 2;
     const TAG_DISCONNECT: u8 = 3;
-    const TAG_USER_INPUT: u8 = 4;
-    const TAG_FORWARDED: u8 = 5;
-    const TAG_REPLICA_UPDATE: u8 = 6;
+    pub(crate) const TAG_USER_INPUT: u8 = 4;
+    pub(crate) const TAG_FORWARDED: u8 = 5;
+    pub(crate) const TAG_REPLICA_UPDATE: u8 = 6;
     const TAG_STATE_UPDATE: u8 = 7;
-    const TAG_MIGRATION_DATA: u8 = 8;
+    pub(crate) const TAG_MIGRATION_DATA: u8 = 8;
     const TAG_REDIRECT: u8 = 9;
 
     /// Short name for logging and metrics.
@@ -115,6 +290,46 @@ impl Packet {
             Packet::MigrationData { .. } => "migration_data",
             Packet::Redirect { .. } => "redirect",
         }
+    }
+
+    // The four frames a server tick builds in place: each `put_*_head`
+    // writes everything up to the payload's length prefix, so the caller
+    // can follow it with `WireWriter::begin_len`, let the application
+    // append the payload, and `end_len` — byte-identical to encoding the
+    // owned variant, which `encode` below builds from the same heads.
+
+    /// Head of a [`Packet::StateUpdate`].
+    pub fn put_state_update_head(w: &mut WireWriter, user: UserId, tick: u64) {
+        w.put_u8(Self::TAG_STATE_UPDATE);
+        w.put_u64(user.0);
+        w.put_u64(tick);
+    }
+
+    /// Head of a [`Packet::ForwardedInput`].
+    pub fn put_forwarded_head(w: &mut WireWriter, origin: NodeId) {
+        w.put_u8(Self::TAG_FORWARDED);
+        w.put_u32(origin.0);
+    }
+
+    /// Head of a [`Packet::ReplicaUpdate`].
+    pub fn put_replica_update_head(
+        w: &mut WireWriter,
+        origin: NodeId,
+        users: impl ExactSizeIterator<Item = UserId>,
+    ) {
+        w.put_u8(Self::TAG_REPLICA_UPDATE);
+        w.put_u32(origin.0);
+        w.put_u32(users.len() as u32);
+        for u in users {
+            w.put_u64(u.0);
+        }
+    }
+
+    /// Head of a [`Packet::MigrationData`].
+    pub fn put_migration_data_head(w: &mut WireWriter, user: UserId, client: NodeId) {
+        w.put_u8(Self::TAG_MIGRATION_DATA);
+        w.put_u64(user.0);
+        w.put_u32(client.0);
     }
 }
 
@@ -141,8 +356,7 @@ impl Wire for Packet {
                 w.put_bytes(payload);
             }
             Packet::ForwardedInput { origin, payload } => {
-                w.put_u8(Self::TAG_FORWARDED);
-                w.put_u32(origin.0);
+                Self::put_forwarded_head(w, *origin);
                 w.put_bytes(payload);
             }
             Packet::ReplicaUpdate {
@@ -150,12 +364,7 @@ impl Wire for Packet {
                 users,
                 payload,
             } => {
-                w.put_u8(Self::TAG_REPLICA_UPDATE);
-                w.put_u32(origin.0);
-                w.put_u32(users.len() as u32);
-                for u in users {
-                    w.put_u64(u.0);
-                }
+                Self::put_replica_update_head(w, *origin, users.iter().copied());
                 w.put_bytes(payload);
             }
             Packet::StateUpdate {
@@ -163,9 +372,7 @@ impl Wire for Packet {
                 tick,
                 payload,
             } => {
-                w.put_u8(Self::TAG_STATE_UPDATE);
-                w.put_u64(user.0);
-                w.put_u64(*tick);
+                Self::put_state_update_head(w, *user, *tick);
                 w.put_bytes(payload);
             }
             Packet::MigrationData {
@@ -173,9 +380,7 @@ impl Wire for Packet {
                 client,
                 payload,
             } => {
-                w.put_u8(Self::TAG_MIGRATION_DATA);
-                w.put_u64(user.0);
-                w.put_u32(client.0);
+                Self::put_migration_data_head(w, *user, *client);
                 w.put_bytes(payload);
             }
             Packet::Redirect { user, new_server } => {
@@ -187,56 +392,7 @@ impl Wire for Packet {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let tag = r.get_u8()?;
-        Ok(match tag {
-            Self::TAG_CONNECT => Packet::Connect {
-                user: UserId(r.get_u64()?),
-                client: NodeId(r.get_u32()?),
-            },
-            Self::TAG_CONNECT_ACK => Packet::ConnectAck {
-                user: UserId(r.get_u64()?),
-            },
-            Self::TAG_DISCONNECT => Packet::Disconnect {
-                user: UserId(r.get_u64()?),
-            },
-            Self::TAG_USER_INPUT => Packet::UserInput {
-                user: UserId(r.get_u64()?),
-                seq: r.get_u32()?,
-                payload: Bytes::copy_from_slice(r.get_bytes()?),
-            },
-            Self::TAG_FORWARDED => Packet::ForwardedInput {
-                origin: NodeId(r.get_u32()?),
-                payload: Bytes::copy_from_slice(r.get_bytes()?),
-            },
-            Self::TAG_REPLICA_UPDATE => {
-                let origin = NodeId(r.get_u32()?);
-                let count = r.get_u32()? as usize;
-                let mut users = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    users.push(UserId(r.get_u64()?));
-                }
-                Packet::ReplicaUpdate {
-                    origin,
-                    users,
-                    payload: Bytes::copy_from_slice(r.get_bytes()?),
-                }
-            }
-            Self::TAG_STATE_UPDATE => Packet::StateUpdate {
-                user: UserId(r.get_u64()?),
-                tick: r.get_u64()?,
-                payload: Bytes::copy_from_slice(r.get_bytes()?),
-            },
-            Self::TAG_MIGRATION_DATA => Packet::MigrationData {
-                user: UserId(r.get_u64()?),
-                client: NodeId(r.get_u32()?),
-                payload: Bytes::copy_from_slice(r.get_bytes()?),
-            },
-            Self::TAG_REDIRECT => Packet::Redirect {
-                user: UserId(r.get_u64()?),
-                new_server: NodeId(r.get_u32()?),
-            },
-            t => return Err(WireError::BadTag(t)),
-        })
+        PacketRef::decode(r).map(|p| p.to_packet())
     }
 }
 
@@ -286,6 +442,94 @@ mod tests {
             user: UserId(9),
             new_server: NodeId(2),
         });
+    }
+
+    #[test]
+    fn in_place_frames_equal_owned_encoding() {
+        let body = b"application payload";
+        let users = [UserId(3), UserId(1), UserId(2)];
+        let in_place = |head: &dyn Fn(&mut WireWriter)| {
+            let mut w = WireWriter::new();
+            head(&mut w);
+            let at = w.begin_len();
+            for &b in body {
+                w.put_u8(b);
+            }
+            w.end_len(at);
+            w.finish()
+        };
+        let payload = Bytes::from_static(body);
+        assert_eq!(
+            in_place(&|w| Packet::put_state_update_head(w, UserId(7), 99)),
+            Packet::StateUpdate {
+                user: UserId(7),
+                tick: 99,
+                payload: payload.clone()
+            }
+            .to_bytes()
+        );
+        assert_eq!(
+            in_place(&|w| Packet::put_forwarded_head(w, NodeId(5))),
+            Packet::ForwardedInput {
+                origin: NodeId(5),
+                payload: payload.clone()
+            }
+            .to_bytes()
+        );
+        assert_eq!(
+            in_place(&|w| Packet::put_replica_update_head(w, NodeId(6), users.iter().copied())),
+            Packet::ReplicaUpdate {
+                origin: NodeId(6),
+                users: users.to_vec(),
+                payload: payload.clone()
+            }
+            .to_bytes()
+        );
+        assert_eq!(
+            in_place(&|w| Packet::put_migration_data_head(w, UserId(8), NodeId(77))),
+            Packet::MigrationData {
+                user: UserId(8),
+                client: NodeId(77),
+                payload
+            }
+            .to_bytes()
+        );
+    }
+
+    #[test]
+    fn borrowed_decode_reports_where_the_payload_sits() {
+        let buf = Packet::ReplicaUpdate {
+            origin: NodeId(6),
+            users: vec![UserId(9), UserId(4)],
+            payload: Bytes::from_static(b"positions"),
+        }
+        .to_bytes();
+        let mut r = WireReader::new(&buf);
+        let PacketRef::ReplicaUpdate {
+            origin,
+            users,
+            payload,
+        } = PacketRef::decode(&mut r).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        assert_eq!(origin, NodeId(6));
+        assert_eq!(users.len(), 2);
+        assert_eq!(users.iter().collect::<Vec<_>>(), [UserId(9), UserId(4)]);
+        assert_eq!(payload, b"positions");
+        assert_eq!(&buf[r.position() - payload.len()..r.position()], payload);
+    }
+
+    #[test]
+    fn replica_update_listing_more_users_than_it_carries_is_rejected() {
+        let mut w = WireWriter::new();
+        Packet::put_replica_update_head(&mut w, NodeId(1), [UserId(1)].into_iter());
+        let mut buf = w.finish().to_vec();
+        buf[5..9].copy_from_slice(&u32::MAX.to_le_bytes()); // claims 4 Gi users
+        assert!(matches!(
+            Packet::from_bytes(&buf),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -32,9 +32,12 @@ pub mod zone;
 
 pub use client::{Client, ClientState, ClientStats, InputSource};
 pub use entity::{NpcId, Ownership, Rect, UserId, Vec2};
-pub use event::Packet;
+pub use event::{Packet, PacketRef};
 pub use metrics::{MetricsLog, TickRecord};
-pub use server::{Application, ForwardEvent, MigrationCounters, Server, ServerConfig, TickCtx};
+pub use server::{
+    Application, Batch, Envelope, FrameSink, MigrationCounters, ReplicaUpdate, ReplicaUpdates,
+    Server, ServerConfig, TickCtx,
+};
 pub use timer::{TaskKind, TickTimers, TimeMode, TASK_COUNT};
 pub use wire::{Wire, WireError, WireReader, WireWriter};
 pub use zone::{Distribution, InstanceId, WorldLayout, Zone, ZoneId};

@@ -11,7 +11,7 @@ use rtf_net::NodeId;
 use std::collections::VecDeque;
 
 /// Everything a server observed during one tick.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickRecord {
     /// Tick number (monotonic per server).
     pub tick: u64,

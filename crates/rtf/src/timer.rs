@@ -8,11 +8,11 @@
 //! on the application logic, they need to be measured manually in the
 //! application source code."
 //!
-//! [`TickTimers`] implements both sides: the framework wraps its generic
-//! work in [`TickTimers::time`] (wall clock), and applications attribute
-//! their own work either the same way or — in deterministic simulations —
-//! by charging *virtual* seconds via [`TickTimers::charge`]. Which
-//! accumulator defines the tick duration is chosen by [`TimeMode`].
+//! [`TickTimers`] implements both sides: the framework wraps each phase of
+//! its generic work in [`TickTimers::time`] (wall clock), and applications
+//! attribute their own phases the same way and — for deterministic
+//! simulations — charge *virtual* seconds via [`TickTimers::charge`].
+//! Which accumulator defines the tick duration is chosen by [`TimeMode`].
 
 // lint: allow(nondet, "Instant feeds the Wall accumulators only; deterministic sims run TimeMode::Virtual and never read them")
 use std::time::Instant;
@@ -128,14 +128,17 @@ impl TickTimers {
         self.mode
     }
 
-    /// Runs `f`, attributing its wall-clock time to `task`.
+    /// Runs `f`, attributing its wall-clock time to `task`. `f` gets the
+    /// timers back, so the work it measures can charge its virtual cost
+    /// as it goes. The clock is read in both modes, twice per call: time a
+    /// whole phase of the tick, not each item in it.
     ///
     /// Do not nest `time` calls for different tasks — the inner span would
-    /// be counted twice. The framework times only its own leaf work.
+    /// be counted twice.
     // lint: allow(taint, "sanctioned taint boundary: the clock only feeds the wall[] accumulators, which digest-affecting paths never read — seeded runs use TimeMode::Virtual + charge()")
-    pub fn time<T>(&mut self, task: TaskKind, f: impl FnOnce() -> T) -> T {
+    pub fn time<T>(&mut self, task: TaskKind, f: impl FnOnce(&mut Self) -> T) -> T {
         let start = Instant::now(); // lint: allow(nondet, "wall-clock attribution is this method's contract; Virtual mode uses charge() instead")
-        let out = f();
+        let out = f(self);
         self.wall[task.index()] += start.elapsed().as_secs_f64(); // lint: allow(panic, "index is TaskKind::index(), < TASK_COUNT, the arrays' length (pinned by a test)")
         out
     }
@@ -144,16 +147,6 @@ impl TickTimers {
     pub fn charge(&mut self, task: TaskKind, seconds: f64) {
         debug_assert!(seconds >= 0.0, "cannot charge negative time");
         self.virt[task.index()] += seconds; // lint: allow(panic, "index is TaskKind::index(), < TASK_COUNT, the arrays' length (pinned by a test)")
-    }
-
-    /// Adds externally measured wall-clock `seconds` to `task` — for
-    /// application code that measures a span with [`Instant`] itself
-    /// (§III-C: "parameters t_ua, t_aoi and t_fa [...] need to be measured
-    /// manually in the application source code") when wrapping it in
-    /// [`TickTimers::time`] is inconvenient.
-    pub fn add_wall(&mut self, task: TaskKind, seconds: f64) {
-        debug_assert!(seconds >= 0.0);
-        self.wall[task.index()] += seconds; // lint: allow(panic, "index is TaskKind::index(), < TASK_COUNT, the arrays' length (pinned by a test)")
     }
 
     /// Seconds recorded for `task` in the reporting mode.
@@ -216,7 +209,7 @@ mod tests {
     #[test]
     fn time_measures_wall_clock() {
         let mut t = TickTimers::new(TimeMode::Wall);
-        let out = t.time(TaskKind::Aoi, || {
+        let out = t.time(TaskKind::Aoi, |_| {
             std::thread::sleep(std::time::Duration::from_millis(2));
             42
         });
@@ -228,8 +221,10 @@ mod tests {
     #[test]
     fn mode_selects_reported_accumulator() {
         let mut t = TickTimers::new(TimeMode::Virtual);
-        t.time(TaskKind::Ua, || std::hint::black_box(1 + 1));
-        t.charge(TaskKind::Ua, 0.5);
+        t.time(TaskKind::Ua, |t| {
+            std::hint::black_box(1 + 1);
+            t.charge(TaskKind::Ua, 0.5);
+        });
         assert_eq!(t.get(TaskKind::Ua), 0.5, "virtual mode ignores wall time");
         assert!(
             t.wall(TaskKind::Ua) < 0.5,
@@ -241,7 +236,7 @@ mod tests {
     fn reset_clears_everything() {
         let mut t = TickTimers::new(TimeMode::Virtual);
         t.charge(TaskKind::MigIni, 1.0);
-        t.time(TaskKind::Other, || ());
+        t.time(TaskKind::Other, |_| ());
         t.reset();
         assert_eq!(t.total(), 0.0);
         assert_eq!(t.wall(TaskKind::Other), 0.0);

@@ -59,23 +59,42 @@ impl WireWriter {
         }
     }
 
-    /// Creates a writer that appends into a caller-provided buffer
-    /// (cleared first), so encode loops can reuse one allocation instead
-    /// of growing a fresh buffer per frame. Pair with
-    /// [`finish_reusing`](Self::finish_reusing) to get the allocation
-    /// back.
-    pub fn with_buf(mut buf: BytesMut) -> Self {
-        buf.clear();
-        Self { buf }
+    /// Empties the writer, keeping its allocation: an encode loop reuses
+    /// one writer for every frame and takes each frame out with
+    /// [`copy_frame`](Self::copy_frame).
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
-    /// Finishes like [`finish`](Self::finish) but also hands back the
-    /// writer's (now empty) buffer: once every reader of the returned
-    /// [`Bytes`] drops it, the buffer can reclaim the capacity on its
-    /// next `reserve`, keeping steady-state encode loops allocation-free.
-    pub fn finish_reusing(mut self) -> (Bytes, BytesMut) {
-        let frame = self.buf.split().freeze();
-        (frame, self.buf)
+    /// Copies the bytes written so far into a fresh immutable frame — one
+    /// allocation and one copy whichever `bytes` implementation is linked
+    /// — and keeps the writer's buffer for the next frame.
+    pub fn copy_frame(&self) -> Bytes {
+        Bytes::copy_from_slice(&self.buf)
+    }
+
+    /// Reserves a `u32` length prefix for a byte string whose length is
+    /// not known yet and returns its position. Write the string's bytes,
+    /// then call [`end_len`](Self::end_len): the result is byte-identical
+    /// to [`put_bytes`](Self::put_bytes) on the finished string, without
+    /// serializing it into a buffer of its own first.
+    pub fn begin_len(&mut self) -> usize {
+        let at = self.buf.len();
+        self.put_u32(0);
+        at
+    }
+
+    /// Patches the prefix reserved at `at` with the number of bytes
+    /// written after it, and returns that number.
+    pub fn end_len(&mut self, at: usize) -> usize {
+        let len = self.buf.len().saturating_sub(at + 4);
+        let prefix = u32::try_from(len).unwrap_or(u32::MAX);
+        debug_assert_eq!(prefix as usize, len, "byte string exceeds u32");
+        match self.buf.get_mut(at..at + 4) {
+            Some(slot) => slot.copy_from_slice(&prefix.to_le_bytes()),
+            None => debug_assert!(false, "end_len({at}) without a matching begin_len"),
+        }
+        len
     }
 
     /// Bytes written so far.
@@ -156,6 +175,18 @@ impl<'a> WireReader<'a> {
     /// Whether the reader consumed everything.
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
+    }
+
+    /// Bytes consumed so far — after reading a field, the offset one past
+    /// its last byte, which lets a caller that keeps the receive buffer
+    /// remember *where* a byte string sits instead of copying it.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Reads `n` raw bytes (no length prefix).
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        self.take(n)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -318,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn reused_buffer_produces_identical_frames() {
+    fn reused_writer_produces_identical_frames() {
         let encode = |w: &mut WireWriter| {
             w.put_u8(9);
             w.put_bytes(b"state");
@@ -328,25 +359,32 @@ mod tests {
         encode(&mut fresh);
         let expected = fresh.finish();
 
-        let mut buf = BytesMut::new();
+        let mut w = WireWriter::new();
+        w.put_bytes(b"leftover from the previous frame");
         for _ in 0..3 {
-            let mut w = WireWriter::with_buf(buf);
+            w.clear();
+            assert!(w.is_empty());
             encode(&mut w);
-            let (frame, rest) = w.finish_reusing();
-            assert_eq!(frame, expected);
-            buf = rest;
-            assert!(buf.is_empty(), "handed-back buffer starts empty");
+            assert_eq!(w.copy_frame(), expected);
         }
     }
 
     #[test]
-    fn with_buf_clears_stale_content() {
-        let mut stale = BytesMut::new();
-        stale.extend_from_slice(b"leftover");
-        let mut w = WireWriter::with_buf(stale);
-        assert!(w.is_empty());
-        w.put_u8(1);
-        assert_eq!(&w.finish()[..], &[1]);
+    fn patched_length_prefix_equals_put_bytes() {
+        for body in [&b""[..], b"x", b"a longer application payload"] {
+            let mut direct = WireWriter::new();
+            direct.put_u8(7);
+            direct.put_bytes(body);
+
+            let mut patched = WireWriter::new();
+            patched.put_u8(7);
+            let at = patched.begin_len();
+            for &b in body {
+                patched.put_u8(b);
+            }
+            assert_eq!(patched.end_len(at), body.len());
+            assert_eq!(patched.finish(), direct.finish());
+        }
     }
 
     #[test]

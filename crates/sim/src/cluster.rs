@@ -43,7 +43,7 @@ use rtf_rms::{
     Action, ActionId, ActionOutcome, Admission, BootEvent, ControllerConfig, LeaseId,
     MachineProfile, Policy, ResourcePool, RmsController, ServerSnapshot, ZoneSnapshot,
 };
-use rtfdemo::{AoiBackend, Bot, BotBehavior, CostModel, CostRates, RtfDemoApp, World};
+use rtfdemo::{Bot, BotBehavior, CostModel, CostRates, RtfDemoApp, World};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Ticks without a single state update before the stall watchdog hands a
@@ -53,6 +53,11 @@ const STALL_TICKS: u64 = 100;
 const REHOME_BACKOFF_TICKS: u64 = 25;
 /// Backoff stops growing after this many doublings (25 << 4 = 400 ticks).
 const MAX_BACKOFF_SHIFT: u32 = 4;
+/// `TickRecord`s each server retains (41 s at 25 Hz) unless the monitoring
+/// window is longer. Controller snapshots read `monitor_window` of them
+/// and the campaigns a few dozen; at ~184 B per server per tick, keeping
+/// more is the largest per-tick memory growth of a long run.
+const SERVER_METRICS_TICKS: usize = 1024;
 
 /// Cluster configuration.
 #[derive(Debug, Clone)]
@@ -79,10 +84,6 @@ pub struct ClusterConfig {
     /// serially; any value produces byte-identical traces (see
     /// [`crate::parallel`] for the determinism argument).
     pub threads: usize,
-    /// Interest-management backend for every server's app. Both settings
-    /// produce identical traffic and identical virtual `t_aoi` charges;
-    /// [`AoiBackend::Grid`] only cuts the host CPU cost of large zones.
-    pub aoi_backend: AoiBackend,
     /// How many of the initial replicas boot on [`MachineProfile::POWERFUL`]
     /// machines (clamped to the initial server count). Heterogeneous
     /// scenarios start with a mixed fleet instead of growing into one.
@@ -111,7 +112,6 @@ impl Default for ClusterConfig {
             monitor_window: 25,
             pool: ResourcePool::testbed(),
             threads: 1,
-            aoi_backend: AoiBackend::default(),
             initial_powerful: 0,
             join_queue_drain: 4,
             schedule_seed: 0,
@@ -692,7 +692,8 @@ impl Cluster {
             .collect()
     }
 
-    /// Access to one server's metrics (for measurement campaigns).
+    /// Access to one server's metrics (for measurement campaigns): its
+    /// most recent 1024 tick records, or `monitor_window` if that is larger.
     ///
     /// Panics on an out-of-range index; campaigns index `0..server_count()`.
     pub fn server_metrics(&self, idx: usize) -> &rtf_core::metrics::MetricsLog {
@@ -717,7 +718,6 @@ impl Cluster {
             self.config.npcs,
             CostModel::new(rates, self.config.cost_noise, seed),
         );
-        app.set_aoi_backend(self.config.aoi_backend);
         // A replica booted mid-episode serves at the episode's fidelity
         // (1.0 outside degraded mode, so this is a no-op normally).
         if let Some(controller) = self.controller.as_ref() {
@@ -731,7 +731,7 @@ impl Cluster {
         let server_config = ServerConfig {
             tick_interval: self.config.tick_interval,
             time_mode: TimeMode::Virtual,
-            metrics_capacity: 4096,
+            metrics_capacity: self.config.monitor_window.max(SERVER_METRICS_TICKS),
         };
         let label = format!("server-{}", self.servers.len());
         let mut server = Server::new(&self.bus, &label, self.zone, app, server_config);

@@ -142,18 +142,16 @@ fn drift_session_is_deterministic_under_tracing() {
 // interleaving must never reach the observable history (see
 // `roia_sim::parallel` for the full argument).
 
-use roia::demo::AoiBackend;
 use roia::obs::Tracer;
 use roia::sim::{Cluster, FaultPlan};
 
 /// Runs one eventful session — joins, chaos faults, leaves — and returns
 /// the trace digest (FNV-1a hash, event count).
-fn session_digest(seed: u64, threads: usize, aoi: AoiBackend) -> (u64, u64) {
+fn session_digest(seed: u64, threads: usize) -> (u64, u64) {
     let config = ClusterConfig {
         seed,
         cost_noise: 0.05,
         threads,
-        aoi_backend: aoi,
         ..ClusterConfig::default()
     };
     let mut cluster = Cluster::new(config, 3);
@@ -179,10 +177,10 @@ fn session_digest(seed: u64, threads: usize, aoi: AoiBackend) -> (u64, u64) {
 #[test]
 fn parallel_traces_match_serial_across_thread_counts() {
     for seed in [7, 1234] {
-        let (serial_hash, serial_events) = session_digest(seed, 1, AoiBackend::Quadratic);
+        let (serial_hash, serial_events) = session_digest(seed, 1);
         assert!(serial_events > 0, "the session must actually trace");
         for threads in [2, 4] {
-            let (hash, events) = session_digest(seed, threads, AoiBackend::Quadratic);
+            let (hash, events) = session_digest(seed, threads);
             assert_eq!(
                 (hash, events),
                 (serial_hash, serial_events),
@@ -190,13 +188,6 @@ fn parallel_traces_match_serial_across_thread_counts() {
             );
         }
     }
-}
-
-#[test]
-fn parallel_traces_match_serial_with_grid_backend() {
-    let (serial_hash, serial_events) = session_digest(99, 1, AoiBackend::Grid);
-    let (hash, events) = session_digest(99, 4, AoiBackend::Grid);
-    assert_eq!((hash, events), (serial_hash, serial_events));
 }
 
 /// `session_digest` under a permuted worker schedule.
@@ -246,16 +237,4 @@ fn permuted_worker_schedules_produce_identical_traces() {
             "trace diverged under schedule permutation {schedule_seed}"
         );
     }
-}
-
-#[test]
-fn aoi_backends_produce_identical_traces() {
-    // The grid fast path changes host CPU cost only: same visible sets,
-    // same virtual charges, same wire bytes — so the same trace digest.
-    let quad = session_digest(5, 1, AoiBackend::Quadratic);
-    let grid = session_digest(5, 1, AoiBackend::Grid);
-    assert_eq!(
-        quad, grid,
-        "interest-management backends must be observably equivalent"
-    );
 }
