@@ -98,7 +98,7 @@ fn run_bot(
             let r = rng.next();
             // Mostly walk; occasionally swing at the nearest entity (the
             // respawn teleports exercise reconciliation corrections).
-            let attack = if r % 16 == 0 {
+            let attack = if r.is_multiple_of(16) {
                 nearest_other(&session, user).unwrap_or(NO_TARGET)
             } else {
                 NO_TARGET

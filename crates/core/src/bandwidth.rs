@@ -17,12 +17,11 @@
 use crate::costfn::CostFn;
 use crate::params::ModelParams;
 use crate::tick::ZoneLoad;
-use serde::{Deserialize, Serialize};
 
 /// Fitted per-tick traffic rates (bytes, as functions of the zone's total
 /// user count `n` — traffic grows with `n` because denser populations mean
 /// larger area-of-interest update payloads).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BandwidthParams {
     /// Bytes received from one connected user per tick (inputs).
     pub client_in_per_user: CostFn,

@@ -8,15 +8,13 @@
 //! [`CostFn`] is one such approximation: it maps a user count to CPU
 //! *seconds* spent on that task per entity per tick.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted approximation of one per-task CPU-time parameter.
 ///
 /// Evaluation returns seconds; negative predictions (possible near x = 0
 /// after a least-squares fit of noisy data) are clamped to zero by
 /// [`CostFn::eval`], because a task can never have negative cost. Use
 /// [`CostFn::eval_raw`] to inspect the unclamped polynomial.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CostFn {
     /// A constant cost, independent of user count.
     Constant(f64),

@@ -75,14 +75,12 @@ pub use persist::{format_model, parse_model, PersistError};
 pub use planner::{plan, plan_round, MigrationPlan, Move, PlannerConfig, Round};
 pub use tick::{per_term_prediction, tick_duration, tick_duration_equal, ZoneLoad};
 
-use serde::{Deserialize, Serialize};
-
 /// The calibrated scalability model for one application: fitted parameters
 /// plus the provider-chosen thresholds `U` (tick duration), `c` (minimum
 /// improvement per replica) and the replication-trigger fraction.
 ///
 /// This is the object RTF-RMS consults for every load-balancing decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalabilityModel {
     /// The nine fitted cost parameters.
     pub params: ModelParams,

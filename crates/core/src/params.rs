@@ -6,10 +6,9 @@
 //! the zone, exactly as the paper fits them.
 
 use crate::costfn::CostFn;
-use serde::{Deserialize, Serialize};
 
 /// Which model parameter a measurement or fit refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ParamKind {
     /// `t_ua_dser` — asynchronous reception + deserialization of one
     /// connected user's inputs (§III-A task 1.i).
@@ -79,7 +78,7 @@ impl ParamKind {
 ///
 /// Each field is the fitted CPU time *per entity per tick* (per migration
 /// for the `mig` pair), as a function of the zone's total user count `n`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelParams {
     /// Deserialization of one connected user's inputs.
     pub t_ua_dser: CostFn,

@@ -26,8 +26,8 @@
 //!   function that emits trace events, feeds a digest, or builds a
 //!   `SessionReport` is flagged.
 //! * **C4 — capture escape into worker closures.** Closures handed to
-//!   `map_mut`/`for_each_mut`/`spawn` must only mutate worker-owned state
-//!   (their parameters and locals). Mutating a *captured* binding through
+//!   `map_mut`/`map_mut_scheduled`/`spawn` must only mutate worker-owned
+//!   state (their parameters and locals). Mutating a *captured* binding through
 //!   shared/interior mutability (`.lock()`, `.borrow_mut()`, `.store()`,
 //!   `.send()`, `.write()`, `fetch_*`) makes the result depend on worker
 //!   interleaving; the documented pattern is take/restore — swap state
@@ -150,10 +150,10 @@ fn hot_set(ws: &Workspace) -> BTreeSet<usize> {
 
 /// Lock keys acquired by `i` transitively (memoized; cycles contribute
 /// their partial set).
-fn trans_locks<'a>(
+fn trans_locks(
     ws: &Workspace,
     i: usize,
-    memo: &'a mut BTreeMap<usize, BTreeSet<String>>,
+    memo: &mut BTreeMap<usize, BTreeSet<String>>,
     visiting: &mut BTreeSet<usize>,
 ) -> BTreeSet<String> {
     if let Some(s) = memo.get(&i) {

@@ -26,8 +26,8 @@
 //! * determinism sinks (`.emit(…)`/`.record(…)` or `SessionReport`/
 //!   `HashSink`/`RunDigest` mentions),
 //! * worker closures — closure literals passed to `map_mut`/
-//!   `for_each_mut`/`spawn` — with their parameters and local bindings so
-//!   capture-escape (C4) can tell captures from locals.
+//!   `map_mut_scheduled`/`spawn` — with their parameters and local bindings
+//!   so capture-escape (C4) can tell captures from locals.
 //!
 //! Everything here is a deliberate over/under-approximation; the C-rule
 //! fixtures in `tests/fixtures.rs` pin the behaviour and DESIGN.md §8
@@ -184,7 +184,7 @@ pub struct Workspace {
 }
 
 /// Pool entry points whose closure argument runs on worker threads.
-const WORKER_HOSTS: &[&str] = &["map_mut", "for_each_mut", "spawn"];
+const WORKER_HOSTS: &[&str] = &["map_mut", "map_mut_scheduled", "spawn"];
 
 /// Methods that block the calling thread (no-argument `join` is
 /// `JoinHandle::join`; `join(", ")` on slices is not matched).

@@ -224,15 +224,20 @@ fn c3_fixture_fires_at_the_sink_with_a_witness_chain() {
 }
 
 #[test]
-fn c4_fixture_fires_on_captured_shared_state() {
-    let f = conc_scan("bad/c4_capture.rs", "crates/sim/src/fixture.rs");
-    let c4: Vec<&Finding> = f.iter().filter(|f| f.rule == "C4").collect();
-    assert_eq!(c4.len(), 1, "{f:?}");
-    assert!(
-        c4[0].message.contains("shared") && c4[0].message.contains("map_mut"),
-        "captured root and worker host named: {}",
-        c4[0].message
-    );
+fn c4_fixtures_fire_on_captured_shared_state() {
+    for (name, captured, host) in [
+        ("bad/c4_capture.rs", "shared", "map_mut"),
+        ("bad/c4_capture_scheduled.rs", "ticked", "map_mut_scheduled"),
+    ] {
+        let f = conc_scan(name, "crates/sim/src/fixture.rs");
+        let c4: Vec<&Finding> = f.iter().filter(|f| f.rule == "C4").collect();
+        assert_eq!(c4.len(), 1, "{name}: {f:?}");
+        assert!(
+            c4[0].message.contains(captured) && c4[0].message.contains(host),
+            "{name}: captured root and worker host named: {}",
+            c4[0].message
+        );
+    }
 }
 
 #[test]
@@ -254,6 +259,7 @@ fn good_conc_fixtures_scan_clean() {
         "good/c2_blocking.rs",
         "good/c3_taint.rs",
         "good/c4_capture.rs",
+        "good/c4_capture_scheduled.rs",
     ] {
         let f = conc_scan(name, "crates/sim/src/fixture.rs");
         assert!(f.is_empty(), "{name} should be clean: {f:?}");

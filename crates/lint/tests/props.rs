@@ -77,15 +77,11 @@ fn assert_spans_round_trip(src: &str) -> Result<(), TestCaseError> {
         let mut at_row = row;
         let mut at_col = col;
         for expect in t.text.chars() {
-            let actual = loop {
-                match lines.get(at_row).and_then(|l| l.get(at_col)) {
-                    Some(&c) => break Some(c),
-                    None if at_row + 1 < lines.len() && at_col == lines[at_row].len() => {
-                        // Past end-of-line: the next source char is '\n'.
-                        break Some('\n');
-                    }
-                    None => break None,
-                }
+            let actual = match lines.get(at_row).and_then(|l| l.get(at_col)) {
+                Some(&c) => Some(c),
+                // Past end-of-line: the next source char is '\n'.
+                None if at_row + 1 < lines.len() && at_col == lines[at_row].len() => Some('\n'),
+                None => None,
             };
             prop_assert_eq!(
                 actual,

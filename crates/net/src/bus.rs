@@ -21,9 +21,8 @@
 use crate::link::{LinkSpec, LinkState};
 use crate::NodeId;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -60,7 +59,8 @@ impl std::error::Error for NetError {}
 
 struct NodeEntry {
     label: String,
-    tx: Sender<Message>,
+    /// Delivered messages the endpoint has not yet received.
+    inbox: VecDeque<Message>,
 }
 
 #[derive(Default)]
@@ -121,43 +121,29 @@ impl BusInner {
     }
     /// Delivers every message due on a link into its destination inbox.
     fn flush_link(&mut self, key: (NodeId, NodeId)) {
-        let now = self.now_tick;
-        let (due, emptied) = match self.links.get_mut(&key) {
-            Some(link) => {
-                let due = link.drain_due(now);
-                (due, link.in_flight() == 0)
-            }
-            None => return,
+        let Some(link) = self.links.get_mut(&key) else {
+            return;
         };
-        if emptied {
-            self.pending.remove(&key);
-        }
-        // A destination may have unregistered (or dropped its inbox) while
-        // the message was in flight — a real socket close eats those bytes.
-        // The message is still lost traffic, so it must show up in the
-        // link's drop counters rather than vanish silently.
-        let mut lost_msgs = 0u64;
-        let mut lost_bytes = 0u64;
-        for msg in due {
-            let size = msg.payload.len() as u64;
-            let delivered = match self.nodes.get(&msg.to) {
-                Some(entry) => entry.tx.send(msg).is_ok(),
-                None => false,
-            };
-            if !delivered {
-                lost_msgs += 1;
-                lost_bytes += size;
-            }
-        }
-        if lost_msgs > 0 {
-            if let Some(link) = self.links.get_mut(&key) {
-                link.messages_dropped += lost_msgs;
+        let due = link.drain_due(self.now_tick);
+        let emptied = link.in_flight() == 0;
+        match self.nodes.get_mut(&key.1) {
+            Some(entry) => entry.inbox.extend(due),
+            // The destination unregistered while the messages were in
+            // flight — a real socket close eats those bytes. They are
+            // still lost traffic, so they must show up in the link's drop
+            // counters rather than vanish silently.
+            None => {
+                link.messages_dropped += due.len() as u64;
                 // `drain_due` pre-counted these as delivered; undo that.
+                let lost_bytes: u64 = due.iter().map(|m| m.payload.len() as u64).sum();
                 link.bytes_delivered = link.bytes_delivered.saturating_sub(lost_bytes);
             }
         }
-        if emptied && !self.doomed.is_empty() && self.doomed.remove(&key) {
-            self.retire_link(key);
+        if emptied {
+            self.pending.remove(&key);
+            if self.doomed.remove(&key) {
+                self.retire_link(key);
+            }
         }
     }
 
@@ -198,7 +184,6 @@ impl Bus {
 
     /// Registers a new endpoint with a human-readable label.
     pub fn register(&self, label: &str) -> Endpoint {
-        let (tx, rx) = unbounded();
         let mut inner = self.inner.lock();
         let id = NodeId(inner.next_id);
         inner.next_id += 1;
@@ -206,12 +191,11 @@ impl Bus {
             id,
             NodeEntry {
                 label: label.to_owned(),
-                tx,
+                inbox: VecDeque::new(),
             },
         );
         Endpoint {
             id,
-            rx,
             bus: self.clone(),
         }
     }
@@ -491,7 +475,6 @@ impl TrafficStats {
 /// One node's handle on the bus: its identity plus its inbox.
 pub struct Endpoint {
     id: NodeId,
-    rx: Receiver<Message>,
     bus: Bus,
 }
 
@@ -508,16 +491,8 @@ impl Endpoint {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
-        match self.rx.try_recv() {
-            Ok(m) => Some(m),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    /// Blocking receive with a timeout (threaded mode; requires zero-latency
-    /// links or an external `advance` pump).
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Message> {
-        self.rx.recv_timeout(timeout).ok()
+        let mut inner = self.bus.inner.lock();
+        inner.nodes.get_mut(&self.id)?.inbox.pop_front()
     }
 
     /// Drains every message currently in the inbox.
@@ -531,15 +506,16 @@ impl Endpoint {
     /// per-tick callers can reuse one allocation instead of building a
     /// fresh `Vec` every tick.
     pub fn drain_into(&self, out: &mut Vec<Message>) {
-        while let Some(m) = self.try_recv() {
-            out.push(m);
+        let mut inner = self.bus.inner.lock();
+        if let Some(entry) = inner.nodes.get_mut(&self.id) {
+            out.extend(entry.inbox.drain(..));
         }
     }
 }
 
 impl Drop for Endpoint {
     /// A dropped endpoint can never receive again: leave the bus, so the
-    /// node entry, its inbox channel and its links do not outlive it.
+    /// node entry, its inbox and its links do not outlive it.
     fn drop(&mut self) {
         self.bus.unregister(self.id);
     }
@@ -764,21 +740,57 @@ mod tests {
     }
 
     #[test]
-    fn threaded_send_and_blocking_recv() {
+    fn concurrent_paused_sends_arrive_in_link_key_order() {
+        const SENDERS: usize = 8;
+        const PER_LINK: u8 = 50;
+        let bus = Bus::new();
+        let dst = bus.register("dst");
+        let senders: Vec<Endpoint> = (0..SENDERS).map(|_| bus.register("sender")).collect();
+        let start = std::sync::Barrier::new(SENDERS);
+        bus.pause_delivery();
+        std::thread::scope(|scope| {
+            // Spawned highest id first and released together, so neither
+            // spawn order nor the interleaving follows link-key order.
+            for sender in senders.iter().rev() {
+                let (start, to) = (&start, dst.id());
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_LINK {
+                        sender.send(to, Bytes::from(vec![i])).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(dst.try_recv().is_none(), "paused traffic must not arrive");
+        bus.resume_delivery();
+        let got: Vec<(NodeId, u8)> = dst.drain().iter().map(|m| (m.from, m.payload[0])).collect();
+        let want: Vec<(NodeId, u8)> = senders
+            .iter()
+            .flat_map(|s| (0..PER_LINK).map(move |i| (s.id(), i)))
+            .collect();
+        assert_eq!(got, want, "ascending link key, program order per link");
+    }
+
+    #[test]
+    fn dropped_endpoint_with_undrained_inbox_leaves_nothing_behind() {
         let bus = Bus::new();
         let a = bus.register("a");
+        let (nodes, links) = (bus.node_count(), bus.link_count());
         let b = bus.register("b");
-        let (a_id, b_id) = (a.id(), b.id());
-        let bus2 = bus.clone();
-        let handle = std::thread::spawn(move || {
-            bus2.send(a_id, b_id, Bytes::from_static(b"cross-thread"))
-                .unwrap();
-        });
-        let msg = b
-            .recv_timeout(std::time::Duration::from_secs(1))
-            .expect("delivered");
-        assert_eq!(&msg.payload[..], b"cross-thread");
-        handle.join().unwrap();
+        let b_id = b.id();
+        for _ in 0..3 {
+            a.send(b_id, Bytes::from_static(b"unread")).unwrap();
+        }
+        b.send(a.id(), Bytes::from_static(b"read")).unwrap();
+        assert_eq!(a.drain().len(), 1);
+        drop(b);
+        assert_eq!(bus.node_count(), nodes);
+        assert_eq!(bus.link_count(), links);
+        assert_eq!(
+            a.send(b_id, Bytes::from_static(b"late")),
+            Err(NetError::UnknownNode(b_id))
+        );
+        assert_eq!(bus.stats().total_messages(), 4, "totals survive the links");
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! distributed processes connected by TCP/UDP. This crate provides the
 //! equivalent substrate for an in-process reproduction: a message [`bus::Bus`]
 //! with per-link latency and bandwidth modelling ([`link`]), byte accounting
-//! for traffic analysis, and endpoints usable both from a lock-step
-//! simulation (`try_recv`/`drain` after `advance`) and from real threads
-//! (blocking `recv`).
+//! for traffic analysis, and endpoints a lock-step driver polls
+//! (`try_recv`/`drain` after `advance` or `resume_delivery`).
 //!
 //! Delivery semantics: messages between two nodes are delivered reliably and
 //! in order (like RTF's TCP connections). A link may add latency measured in

@@ -397,7 +397,7 @@ mod tests {
     fn same_events_dump_byte_identical_bundles() {
         let dir_a = temp_dir("det_a");
         let dir_b = temp_dir("det_b");
-        let mut make = |dir: &PathBuf| {
+        let make = |dir: &PathBuf| {
             let mut fr = FlightRecorder::new(FlightConfig::new(dir));
             for t in 0..20 {
                 fr.record(&span(t));

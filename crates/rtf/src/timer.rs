@@ -96,8 +96,8 @@ pub const TASK_COUNT: usize = 10;
 /// Which accumulator defines the reported tick duration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimeMode {
-    /// Real elapsed time measured with [`Instant`] — used when running the
-    /// stack on real threads.
+    /// Real elapsed time measured with [`Instant`] — used to see what the
+    /// host actually spends per task (the `realtime` example, the ledger).
     Wall,
     /// Virtual seconds charged by the application's calibrated cost model —
     /// used by the deterministic simulator so results are machine- and

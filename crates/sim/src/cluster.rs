@@ -1611,46 +1611,37 @@ impl Cluster {
         }
     }
 
-    /// Ticks every server — serially, or fanned across the worker pool —
-    /// returning the records in server order. Under fan-out each server
-    /// emits trace events into a private buffer, drained into the shared
-    /// tracer in server order after the join; since the serial path also
-    /// emits in server order, the event stream is byte-identical for
-    /// every thread count.
+    /// Ticks every server through the worker pool, returning the records
+    /// in server order. When the pool may visit servers out of order or
+    /// concurrently, each server emits trace events into a private buffer,
+    /// drained into the shared tracer in server order after the join, so
+    /// the event stream is byte-identical for every thread count and
+    /// schedule.
     fn tick_servers(&mut self) -> Vec<TickRecord> {
         let threads = self.config.threads;
-        if threads <= 1 || self.servers.len() <= 1 {
-            let mut records = Vec::with_capacity(self.servers.len());
-            for handle in &mut self.servers {
-                records.push(handle.server.tick());
-            }
-            return records;
-        }
-        let trace_on = self.tracer.is_enabled();
-        let mut buffers: Vec<std::sync::Arc<std::sync::Mutex<RingSink>>> = Vec::new();
-        let mut originals: Vec<Tracer> = Vec::new();
-        if trace_on {
-            buffers.reserve(self.servers.len());
-            originals.reserve(self.servers.len());
+        let schedule = self.schedule();
+        // Serial fork: a single in-order walk on the calling thread already
+        // emits in server order, which saves a ring buffer and two tracer
+        // swaps per server per tick.
+        let in_order = (threads <= 1 || self.servers.len() <= 1) && schedule.is_natural();
+        // Each server's own tracer and the buffer standing in for it.
+        let mut swapped: Vec<(Tracer, std::sync::Arc<std::sync::Mutex<RingSink>>)> = Vec::new();
+        if self.tracer.is_enabled() && !in_order {
             for handle in &mut self.servers {
                 let sink =
                     std::sync::Arc::new(std::sync::Mutex::new(RingSink::new(TICK_TRACE_BUFFER)));
-                originals.push(handle.server.swap_tracer(Tracer::to_sink(sink.clone())));
-                buffers.push(sink);
+                let original = handle.server.swap_tracer(Tracer::to_sink(sink.clone()));
+                swapped.push((original, sink));
             }
         }
-        let schedule = self.schedule();
         let records =
             parallel::map_mut_scheduled(&mut self.servers, threads, schedule, |h| h.server.tick());
-        if trace_on {
-            for ((handle, original), buffer) in self.servers.iter_mut().zip(originals).zip(buffers)
-            {
-                handle.server.swap_tracer(original);
-                // lint: allow(hot_lock, "post-join drain: workers have exited, the buffer mutex is provably uncontended here")
-                if let Ok(mut sink) = buffer.lock() {
-                    for event in sink.drain() {
-                        self.tracer.emit(event);
-                    }
+        for (handle, (original, buffer)) in self.servers.iter_mut().zip(swapped) {
+            handle.server.swap_tracer(original);
+            // lint: allow(hot_lock, "post-join drain: workers have exited, the buffer mutex is provably uncontended here")
+            if let Ok(mut sink) = buffer.lock() {
+                for event in sink.drain() {
+                    self.tracer.emit(event);
                 }
             }
         }
@@ -1730,18 +1721,11 @@ impl Cluster {
         // thread count).
         self.bus.pause_delivery();
         let now = self.tick;
-        let threads = self.config.threads;
-        if threads <= 1 {
-            for handle in self.clients.values_mut() {
-                handle.client.tick(now, &mut handle.bot);
-            }
-        } else {
-            let schedule = self.schedule();
-            let mut handles: Vec<&mut ClientHandle> = self.clients.values_mut().collect();
-            parallel::for_each_mut_scheduled(&mut handles, threads, schedule, |h| {
-                h.client.tick(now, &mut h.bot);
-            });
-        }
+        let schedule = self.schedule();
+        let mut handles: Vec<&mut ClientHandle> = self.clients.values_mut().collect();
+        parallel::map_mut_scheduled(&mut handles, self.config.threads, schedule, |h| {
+            h.client.tick(now, &mut h.bot);
+        });
         self.bus.resume_delivery();
 
         // 5. Aggregate stats, operator metrics and settlement events.

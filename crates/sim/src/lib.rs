@@ -21,7 +21,6 @@ pub mod parallel;
 pub mod report;
 pub mod scenarios;
 pub mod session;
-pub mod threaded;
 pub mod workload;
 
 pub use chaos::{ChaosEngine, Fault, FaultPlan, ScheduledFault};
@@ -35,7 +34,6 @@ pub use multizone::{MultiZoneConfig, MultiZoneWorld, WorldTickStats};
 pub use report::{ascii_chart, csv, table, Series};
 pub use scenarios::{catalogue, run_scenario, Scenario, ScenarioOutcome, ScenarioWorkload};
 pub use session::{run_session, SessionConfig, SessionReport};
-pub use threaded::{run_threaded_session, ThreadedConfig, ThreadedReport};
 pub use workload::{
     drive, FlashCrowd, PaperSession, Ramp, SineWave, Trace, TraceCsvError, Workload,
 };

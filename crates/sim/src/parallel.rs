@@ -10,8 +10,9 @@
 //! 1. per-entity state transitions depend only on that entity's own inbox
 //!    and RNG stream (owned by exactly one worker),
 //! 2. per-link message order on the bus is each sender's program order
-//!    (one sender per directed link), and the deferred flush delivers
-//!    links in ascending key order regardless of which worker sent first,
+//!    (one sender per directed link), and the deferred flush appends the
+//!    links to each destination's inbox queue in ascending key order
+//!    regardless of which worker sent first,
 //! 3. results are returned in input order (contiguous chunks, concatenated
 //!    in chunk order), and trace events are drained from per-server
 //!    buffers in server order after the join.
@@ -19,9 +20,9 @@
 //! Together these make a run with `threads = k` byte-identical to a serial
 //! run — the property `tests/determinism.rs` pins with trace digests.
 //!
-//! The pool is built on [`std::thread::scope`]: no extra dependencies, no
-//! detached threads, and borrowed data (`&mut [T]`) flows in without
-//! `'static` bounds.
+//! The pool is one function, [`map_mut_scheduled`], built on the standard
+//! library's scoped threads: no extra dependencies, no detached threads,
+//! and borrowed data (`&mut [T]`) flows in without `'static` bounds.
 //!
 //! Because the fan-out is order-free, any *schedule* — which worker runs
 //! which chunk, in what temporal order, with what preemption pattern —
@@ -71,78 +72,66 @@ fn xorshift(mut s: u64) -> u64 {
     s
 }
 
-/// A Fisher–Yates permutation of `0..n` driven by `seed`.
+/// A Fisher–Yates shuffle driven by `seed`.
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut s = seed | 1;
+    for i in (1..items.len()).rev() {
+        s = xorshift(s);
+        items.swap(i, (s % (i as u64 + 1)) as usize);
+    }
+}
+
+/// A permutation of `0..n` driven by `seed`.
 fn permuted_indices(n: usize, seed: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
-    let mut s = seed | 1;
-    for i in (1..n).rev() {
-        s = xorshift(s);
-        order.swap(i, (s % (i as u64 + 1)) as usize);
-    }
+    shuffle(&mut order, seed);
     order
 }
 
-/// Walks one chunk in a seed-derived order with injected yields, returning
-/// results in the chunk's input order.
-fn run_chunk<T, R, F>(part: &mut [T], seed: u64, f: &F) -> Vec<R>
+/// Walks chunk `idx` and returns the results in the chunk's input order:
+/// in order under the natural schedule, otherwise in an order derived from
+/// the seed and `idx`, with injected yields.
+fn run_chunk<T, R, F>(part: &mut [T], idx: usize, schedule: Schedule, f: &F) -> Vec<R>
 where
     F: Fn(&mut T) -> R,
 {
-    let mut slots: Vec<Option<R>> = part.iter().map(|_| None).collect();
-    let mut s = seed | 1;
-    for i in permuted_indices(part.len(), seed) {
-        s = xorshift(s);
-        if s & 7 == 0 {
-            std::thread::yield_now();
-        }
-        slots[i] = Some(f(&mut part[i])); // lint: allow(panic, "i comes from permuted_indices(part.len(), ..), so both indexes are in bounds")
+    if schedule.is_natural() {
+        return part.iter_mut().map(f).collect();
     }
-    slots
+    let seed = (schedule.seed | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ idx as u64;
+    let mut s = seed | 1;
+    let mut visited: Vec<(usize, R)> = permuted_indices(part.len(), seed)
         .into_iter()
-        .map(|r| r.expect("permutation visits every index")) // lint: allow(panic, "permuted_indices covers 0..len exactly once, so every slot is Some")
-        .collect()
+        .map(|i| {
+            s = xorshift(s);
+            if s & 7 == 0 {
+                std::thread::yield_now();
+            }
+            (i, f(&mut part[i])) // lint: allow(panic, "i comes from permuted_indices(part.len(), ..), so it is in bounds")
+        })
+        .collect();
+    visited.sort_unstable_by_key(|(i, _)| *i);
+    visited.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Applies `f` to every element, fanning contiguous chunks across at most
-/// `threads` scoped workers, and returns the results in input order.
-///
-/// `threads <= 1`, or fewer items than would fill two chunks, degenerates
-/// to the plain serial loop — same observable behaviour, no thread setup.
+/// [`map_mut_scheduled`] under the natural (production) schedule.
 pub fn map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(&mut T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = threads.min(n).max(1);
-    if workers <= 1 {
-        return items.iter_mut().map(f).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<R> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for part in items.chunks_mut(chunk) {
-            let f = &f;
-            handles.push(scope.spawn(move || part.iter_mut().map(f).collect::<Vec<R>>()));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(mut part) => out.append(&mut part),
-                // A worker panic is a bug in the ticked code; re-raise it
-                // on the driver thread instead of swallowing it.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
+    map_mut_scheduled(items, threads, Schedule::natural(), f)
 }
 
-/// [`map_mut`] under an explicit [`Schedule`]: a natural schedule is
-/// exactly `map_mut`; a permuted one spawns the same contiguous chunks in
-/// a seed-derived order, walks each chunk in a per-chunk derived order
-/// with injected yields, and still returns results in input order.
+/// Applies `f` to every element, fanning contiguous chunks across at most
+/// `threads` scoped workers, and returns the results in input order.
+///
+/// `threads <= 1`, or a single item, degenerates to one chunk walked on
+/// the calling thread — same observable behaviour, no thread setup. A
+/// permuted [`Schedule`] spawns the same chunks in a seed-derived order
+/// and walks each in a per-chunk derived order with injected yields (even
+/// single-threaded — catching code that depends on sibling visit order).
 pub fn map_mut_scheduled<T, R, F>(
     items: &mut [T],
     threads: usize,
@@ -154,35 +143,31 @@ where
     R: Send,
     F: Fn(&mut T) -> R + Sync,
 {
-    if schedule.is_natural() {
-        return map_mut(items, threads, f);
-    }
     let n = items.len();
     let workers = threads.min(n).max(1);
     if workers <= 1 {
-        // Even single-threaded, a permuted schedule walks the items out of
-        // order — catching code that depends on sibling visit order.
-        return run_chunk(items, schedule.seed, &f);
+        return run_chunk(items, 0, schedule, &f);
     }
-    let chunk = n.div_ceil(workers);
-    let mut parts: Vec<Option<(usize, &mut [T])>> =
-        items.chunks_mut(chunk).enumerate().map(Some).collect();
-    let spawn_order = permuted_indices(parts.len(), xorshift(schedule.seed | 1));
+    let mut parts: Vec<(usize, &mut [T])> =
+        items.chunks_mut(n.div_ceil(workers)).enumerate().collect();
+    if !schedule.is_natural() {
+        shuffle(&mut parts, xorshift(schedule.seed | 1));
+    }
     let mut out: Vec<R> = Vec::with_capacity(n);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(parts.len());
-        for k in spawn_order {
-            let (idx, part) = parts[k].take().expect("spawn_order visits each chunk once"); // lint: allow(panic, "k comes from permuted_indices(parts.len(), ..): in bounds, each visited exactly once")
+        for (idx, part) in parts {
             let f = &f;
-            let chunk_seed = (schedule.seed | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ idx as u64;
-            handles.push((idx, scope.spawn(move || run_chunk(part, chunk_seed, f))));
+            handles.push((idx, scope.spawn(move || run_chunk(part, idx, schedule, f))));
         }
         // Join in chunk order so the output is input order no matter how
         // the spawns were permuted.
-        handles.sort_by_key(|(idx, _)| *idx);
+        handles.sort_unstable_by_key(|(idx, _)| *idx);
         for (_, handle) in handles {
             match handle.join() {
                 Ok(mut part) => out.append(&mut part),
+                // A worker panic is a bug in the ticked code; re-raise it
+                // on the driver thread instead of swallowing it.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
@@ -190,80 +175,20 @@ where
     out
 }
 
-/// [`for_each_mut`] under an explicit [`Schedule`] (see
-/// [`map_mut_scheduled`]).
-pub fn for_each_mut_scheduled<T, F>(items: &mut [T], threads: usize, schedule: Schedule, f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    if schedule.is_natural() {
-        for_each_mut(items, threads, f);
-        return;
-    }
-    // Vec<()> is zero-sized, so reusing the mapping fan-out costs nothing.
-    let _ = map_mut_scheduled(items, threads, schedule, |item| {
-        f(item);
-    });
-}
-
-/// [`map_mut`] without result collection, for phases that only mutate.
-pub fn for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let n = items.len();
-    let workers = threads.min(n).max(1);
-    if workers <= 1 {
-        for item in items.iter_mut() {
-            f(item);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for part in items.chunks_mut(chunk) {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                for item in part.iter_mut() {
-                    f(item);
-                }
-            }));
-        }
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The natural schedule and twelve permuted ones.
+    fn schedules() -> impl Iterator<Item = Schedule> {
+        std::iter::once(Schedule::natural()).chain((1..=12).map(Schedule::permuted))
+    }
 
     #[test]
     fn results_keep_input_order() {
         let mut items: Vec<u64> = (0..103).collect();
         let out = map_mut(&mut items, 4, |x| *x * 2);
         assert_eq!(out, (0..103).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_and_parallel_agree() {
-        let run = |threads: usize| {
-            let mut items: Vec<u64> = (0..57).collect();
-            map_mut(&mut items, threads, |x| {
-                *x = x.wrapping_mul(0x9E37_79B9).rotate_left(13);
-                *x
-            })
-        };
-        let serial = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), serial, "threads={threads}");
-        }
     }
 
     #[test]
@@ -276,13 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mutates_every_item() {
-        let mut items: Vec<u64> = vec![0; 41];
-        for_each_mut(&mut items, 5, |x| *x += 7);
-        assert!(items.iter().all(|x| *x == 7));
-    }
-
-    #[test]
     fn permuted_indices_are_a_permutation() {
         for seed in [1, 7, 0xDEAD_BEEF, u64::MAX] {
             let mut order = permuted_indices(37, seed);
@@ -292,42 +210,52 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_results_keep_input_order_across_seeds() {
-        let natural = {
-            let mut items: Vec<u64> = (0..103).collect();
-            map_mut(&mut items, 4, |x| x.wrapping_mul(3))
+    fn every_schedule_and_thread_count_matches_the_serial_walk() {
+        assert!(Schedule::default().is_natural());
+        let scramble = |x: &mut u64| {
+            *x = x.wrapping_mul(0x9E37_79B9).rotate_left(13);
+            *x ^ 1
         };
-        for seed in 1..=12u64 {
-            let mut items: Vec<u64> = (0..103).collect();
-            let out = map_mut_scheduled(&mut items, 4, Schedule::permuted(seed), |x| {
-                x.wrapping_mul(3)
-            });
-            assert_eq!(out, natural, "seed {seed}");
+        let mut serial_items: Vec<u64> = (0..103).collect();
+        let serial: Vec<u64> = serial_items.iter_mut().map(scramble).collect();
+        for schedule in schedules() {
+            for threads in [1, 2, 3, 4, 8] {
+                let mut items: Vec<u64> = (0..103).collect();
+                let out = map_mut_scheduled(&mut items, threads, schedule, scramble);
+                assert_eq!(out, serial, "{schedule:?} threads={threads}");
+                assert_eq!(items, serial_items, "{schedule:?} threads={threads}");
+            }
         }
     }
 
     #[test]
-    fn scheduled_visits_every_item_exactly_once() {
+    fn every_schedule_visits_each_item_exactly_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        for seed in [3u64, 11, 0x5EED] {
+        for schedule in schedules() {
             let calls = AtomicUsize::new(0);
             let mut items: Vec<u64> = vec![0; 57];
-            for_each_mut_scheduled(&mut items, 3, Schedule::permuted(seed), |x| {
+            map_mut_scheduled(&mut items, 3, schedule, |x| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 *x += 1;
             });
-            assert_eq!(calls.load(Ordering::Relaxed), 57, "seed {seed}");
-            assert!(items.iter().all(|x| *x == 1), "seed {seed}");
+            assert_eq!(calls.load(Ordering::Relaxed), 57, "{schedule:?}");
+            assert!(items.iter().all(|x| *x == 1), "{schedule:?}");
         }
     }
 
     #[test]
-    fn natural_schedule_is_plain_map_mut() {
-        assert!(Schedule::default().is_natural());
-        let mut a: Vec<u32> = (0..9).collect();
-        let mut b: Vec<u32> = (0..9).collect();
-        let out_a = map_mut(&mut a, 3, |x| *x + 1);
-        let out_b = map_mut_scheduled(&mut b, 3, Schedule::natural(), |x| *x + 1);
-        assert_eq!(out_a, out_b);
+    fn worker_panic_is_reraised_on_the_driver_thread() {
+        for schedule in [Schedule::natural(), Schedule::permuted(5)] {
+            let mut items: Vec<u32> = (0..40).collect();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                map_mut_scheduled(&mut items, 4, schedule, |x| {
+                    assert_ne!(*x, 23, "worker bug");
+                    *x
+                })
+            }))
+            .expect_err("the worker's panic must reach the caller");
+            let message = payload.downcast_ref::<String>().expect("assert message");
+            assert!(message.contains("worker bug"), "{schedule:?}: {message}");
+        }
     }
 }
