@@ -90,11 +90,27 @@ impl WireWriter {
         let len = self.buf.len().saturating_sub(at + 4);
         let prefix = u32::try_from(len).unwrap_or(u32::MAX);
         debug_assert_eq!(prefix as usize, len, "byte string exceeds u32");
-        match self.buf.get_mut(at..at + 4) {
-            Some(slot) => slot.copy_from_slice(&prefix.to_le_bytes()),
-            None => debug_assert!(false, "end_len({at}) without a matching begin_len"),
-        }
+        let patched = self.patch(at, &prefix.to_le_bytes());
+        debug_assert!(patched, "end_len({at}) without a matching begin_len");
         len
+    }
+
+    /// Overwrites already-written bytes starting at `at` — a count
+    /// reserved before its items were written, or the one per-receiver
+    /// field of a frame otherwise shared by every receiver. Writes nothing
+    /// and returns `false` when `bytes` would not fit inside what has been
+    /// written.
+    pub fn patch(&mut self, at: usize, bytes: &[u8]) -> bool {
+        let slot = at
+            .checked_add(bytes.len())
+            .and_then(|end| self.buf.get_mut(at..end));
+        match slot {
+            Some(slot) => {
+                slot.copy_from_slice(bytes);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Bytes written so far.
@@ -261,7 +277,9 @@ pub trait Wire: Sized {
         w.finish()
     }
 
-    /// Convenience: deserialize from a slice, requiring full consumption.
+    /// Convenience: deserialize a value from the front of a slice. Bytes
+    /// after the value are *not* an error here — a type whose frame must
+    /// end with it checks that in its own `decode`.
     fn from_bytes(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
         let v = Self::decode(&mut r)?;
@@ -292,6 +310,23 @@ mod tests {
         assert_eq!(r.get_f32().unwrap(), 1.5);
         assert_eq!(r.get_f64().unwrap(), -2.25);
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn patch_overwrites_in_place_and_refuses_out_of_range() {
+        let mut w = WireWriter::new();
+        w.put_u8(9);
+        w.put_u32(0);
+        w.put_u16(7);
+        assert!(w.patch(1, &0xAABB_CCDDu32.to_le_bytes()));
+        assert!(!w.patch(4, &[0; 4]), "would run past the end");
+        assert!(!w.patch(usize::MAX, &[0; 4]), "offset overflow");
+        assert_eq!(w.len(), 7, "patching never grows the buffer");
+        let buf = w.finish();
+        let mut r = WireReader::new(&buf);
+        assert_eq!(r.get_u8().unwrap(), 9);
+        assert_eq!(r.get_u32().unwrap(), 0xAABB_CCDD);
+        assert_eq!(r.get_u16().unwrap(), 7);
     }
 
     #[test]

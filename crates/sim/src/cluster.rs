@@ -250,6 +250,9 @@ pub struct Cluster {
     rng: SmallRng,
     history: Vec<ClusterTickStats>,
     violations: u64,
+    /// Migrations initiated by servers that have since been removed or
+    /// crashed, so the lifetime total never goes backwards.
+    retired_migrations: u64,
     u_threshold: f64,
     /// Telemetry tracer threaded through servers, controller and chaos.
     tracer: Tracer,
@@ -350,6 +353,7 @@ impl Cluster {
             auditor: std::sync::Arc::new(std::sync::Mutex::new(TraceAuditor::new())),
             expected_users: 0,
             history: Vec::new(),
+            retired_migrations: 0,
             violations: 0,
             u_threshold: 0.040,
             tracer: Tracer::disabled(),
@@ -676,12 +680,15 @@ impl Cluster {
         self.pool.total_cost(self.tick)
     }
 
-    /// Lifetime migrations executed by all servers.
+    /// Lifetime migrations executed by all servers, departed ones
+    /// included.
     pub fn total_migrations(&self) -> u64 {
-        self.servers
+        let live: u64 = self
+            .servers
             .iter()
             .map(|s| s.server.migration_counters().initiated)
-            .sum()
+            .sum();
+        self.retired_migrations + live
     }
 
     /// Per-server (id, active users) pairs.
@@ -785,6 +792,7 @@ impl Cluster {
             return false; // must be drained first
         }
         let handle = self.servers.remove(idx);
+        self.retired_migrations += handle.server.migration_counters().initiated;
         let _ = self.pool.release(handle.lease, self.tick);
         self.layout.unassign(self.zone, InstanceId(0), id);
         self.bus.unregister(id);
@@ -1025,6 +1033,7 @@ impl Cluster {
             return false;
         }
         let handle = self.servers.remove(idx);
+        self.retired_migrations += handle.server.migration_counters().initiated;
         self.orphans.extend(handle.server.users());
         let _ = self.pool.release(handle.lease, self.tick);
         self.layout.unassign(self.zone, InstanceId(0), id);
@@ -2071,6 +2080,51 @@ mod tests {
         });
         assert_eq!(exec, ActionExec::Rejected);
         assert_eq!(cluster.server_count(), 2, "refuses to drop a loaded server");
+    }
+
+    #[test]
+    fn total_migrations_survives_the_source_replica_leaving() {
+        let mut cluster = Cluster::new(small_config(), 2);
+        for _ in 0..10 {
+            cluster.add_user();
+        }
+        cluster.run(5);
+        // Drain the first server into the second, then remove it.
+        let loads = cluster.server_loads();
+        let (from, users) = loads[0];
+        cluster.execute_action(Action::Migrate {
+            from,
+            to: loads[1].0,
+            users,
+        });
+        cluster.run(5);
+        let before = cluster.total_migrations();
+        assert!(before >= u64::from(users), "the drain migrated: {before}");
+        let exec = cluster.execute_action(Action::RemoveReplica {
+            zone: ZoneId(1),
+            server: from,
+        });
+        assert_eq!(exec, ActionExec::Done);
+        assert_eq!(cluster.server_count(), 1);
+        assert_eq!(cluster.total_migrations(), before, "a lifetime total");
+
+        // A crash keeps the departed server's share as well.
+        let mut cluster = Cluster::new(small_config(), 2);
+        for _ in 0..10 {
+            cluster.add_user();
+        }
+        cluster.run(5);
+        let loads = cluster.server_loads();
+        cluster.execute_action(Action::Migrate {
+            from: loads[0].0,
+            to: loads[1].0,
+            users: 3,
+        });
+        cluster.run(3);
+        let before = cluster.total_migrations();
+        assert!(before >= 3);
+        assert!(cluster.crash_server(loads[0].0));
+        assert_eq!(cluster.total_migrations(), before);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::{CloseReason, ConnStats, PeerId, Transport, TransportError, TransportEvent};
 use crate::{FRAME_OVERHEAD, SERVER_PEER};
 use bytes::Bytes;
-use rtf_net::{Bus, Endpoint, NodeId};
+use rtf_net::{Bus, Endpoint, Message, NodeId};
 use std::collections::BTreeMap;
 
 /// Server-side bus transport: accepts any node that sends to it as a
@@ -28,6 +28,8 @@ pub struct BusServerTransport {
     nodes: BTreeMap<PeerId, NodeId>,
     stats: BTreeMap<PeerId, ConnStats>,
     pending: Vec<TransportEvent>,
+    /// Receive buffer reused from poll to poll.
+    inbox: Vec<Message>,
 }
 
 impl BusServerTransport {
@@ -40,6 +42,7 @@ impl BusServerTransport {
             nodes: BTreeMap::new(),
             stats: BTreeMap::new(),
             pending: Vec::new(),
+            inbox: Vec::new(),
         }
     }
 
@@ -69,7 +72,9 @@ impl Transport for BusServerTransport {
 
     fn poll(&mut self, events: &mut Vec<TransportEvent>) {
         events.append(&mut self.pending);
-        for msg in self.endpoint.drain() {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        self.endpoint.drain_into(&mut inbox);
+        for msg in inbox.drain(..) {
             let peer = self.peer_for(msg.from, events);
             if let Some(stats) = self.stats.get_mut(&peer) {
                 stats.bytes_in += msg.payload.len() as u64 + FRAME_OVERHEAD;
@@ -80,6 +85,7 @@ impl Transport for BusServerTransport {
                 payload: msg.payload,
             });
         }
+        self.inbox = inbox;
     }
 
     fn send(&mut self, peer: PeerId, frame: Bytes) -> Result<(), TransportError> {
@@ -143,6 +149,8 @@ pub struct BusClientTransport {
     closed: bool,
     stats: ConnStats,
     pending: Vec<TransportEvent>,
+    /// Receive buffer reused from poll to poll.
+    inbox: Vec<Message>,
 }
 
 impl BusClientTransport {
@@ -155,6 +163,7 @@ impl BusClientTransport {
             closed: false,
             stats: ConnStats::default(),
             pending: Vec::new(),
+            inbox: Vec::new(),
         }
     }
 
@@ -178,7 +187,8 @@ impl Transport for BusClientTransport {
             self.opened = true;
             events.push(TransportEvent::Opened { peer: SERVER_PEER });
         }
-        for msg in self.endpoint.drain() {
+        self.endpoint.drain_into(&mut self.inbox);
+        for msg in self.inbox.drain(..) {
             if msg.from != self.server {
                 continue;
             }

@@ -75,6 +75,21 @@ pub struct EntityState {
     pub health: i16,
 }
 
+impl EntityState {
+    /// Reads the fixed-size wire form (the layout `encode` writes), on the
+    /// bytes rather than through a [`WireReader`]: clients run it per entry
+    /// per tick, and four checked reads here double `client_tick_ns`.
+    fn from_wire(raw: &[u8; ENTITY_STATE_BYTES as usize]) -> Self {
+        let [i0, i1, i2, i3, i4, i5, i6, i7, x0, x1, x2, x3, y0, y1, y2, y3, h0, h1] = *raw;
+        EntityState {
+            id: u64::from_le_bytes([i0, i1, i2, i3, i4, i5, i6, i7]),
+            x: i32::from_le_bytes([x0, x1, x2, x3]),
+            y: i32::from_le_bytes([y0, y1, y2, y3]),
+            health: i16::from_le_bytes([h0, h1]),
+        }
+    }
+}
+
 impl Wire for EntityState {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u64(self.id);
@@ -84,12 +99,10 @@ impl Wire for EntityState {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(EntityState {
-            id: r.get_u64()?,
-            x: r.get_u32()? as i32,
-            y: r.get_u32()? as i32,
-            health: r.get_u16()? as i16,
-        })
+        let raw = r.get_raw(ENTITY_STATE_BYTES as usize)?;
+        raw.try_into()
+            .map(Self::from_wire)
+            .map_err(|_| WireError::BadLength(raw.len() as u64))
     }
 }
 
@@ -110,43 +123,120 @@ pub struct Snapshot {
     pub removed: Vec<u64>,
 }
 
-impl Wire for Snapshot {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.tick);
-        w.put_u64(self.baseline);
-        w.put_u32(self.ack_seq);
-        debug_assert!(self.entries.len() <= u16::MAX as usize);
-        debug_assert!(self.removed.len() <= u16::MAX as usize);
-        w.put_u16(self.entries.len() as u16);
-        for e in &self.entries {
-            e.encode(w);
-        }
-        w.put_u16(self.removed.len() as u16);
-        for id in &self.removed {
-            w.put_u64(*id);
-        }
-    }
+/// Rewrites `ack_seq` — it follows the tag, `tick` and `baseline`, and is
+/// the only field that differs between the receivers of one tick's
+/// snapshot — in a [`ServerMsg::Snapshot`] frame at the start of `w`.
+pub fn patch_ack(w: &mut WireWriter, ack_seq: u32) {
+    w.patch(1 + 8 + 8, &ack_seq.to_le_bytes());
+}
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+/// The one snapshot encoder: the body of a [`ServerMsg::Snapshot`] frame
+/// (everything after the tag), byte-identical from rows or from the owned
+/// message. Both counts are `u16` on the wire: entries or removals past
+/// 65 535 are left out rather than wrapping the count (the server session
+/// never lets its world grow that far).
+pub fn encode_snapshot_body(
+    w: &mut WireWriter,
+    tick: u64,
+    baseline: u64,
+    ack_seq: u32,
+    entries: impl IntoIterator<Item = EntityState>,
+    removed: &[u64],
+) {
+    w.put_u64(tick);
+    w.put_u64(baseline);
+    w.put_u32(ack_seq);
+    let count_at = w.len();
+    w.put_u16(0);
+    let mut count = 0u16;
+    for e in entries.into_iter().take(usize::from(u16::MAX)) {
+        e.encode(w);
+        count += 1;
+    }
+    w.patch(count_at, &count.to_le_bytes());
+    let count = u16::try_from(removed.len()).unwrap_or(u16::MAX);
+    w.put_u16(count);
+    for id in removed.iter().take(usize::from(count)) {
+        w.put_u64(*id);
+    }
+}
+
+/// A [`Snapshot`] read in place: the header fields plus the byte ranges of
+/// the entries and the removals inside the received frame. This is the
+/// one snapshot parser ([`Snapshot::decode`] is [`parse`](Self::parse) and a
+/// copy) and it is total: any byte string either parses or errs, without
+/// panicking and without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotRef<'a> {
+    /// Server tick this snapshot describes.
+    pub tick: u64,
+    /// Baseline tick, 0 for a keyframe.
+    pub baseline: u64,
+    /// The reconciliation ack.
+    pub ack_seq: u32,
+    entries: &'a [[u8; ENTITY_STATE_BYTES as usize]],
+    removed: &'a [[u8; 8]],
+}
+
+impl<'a> SnapshotRef<'a> {
+    /// Parses a snapshot body (a [`ServerMsg::Snapshot`] frame after its
+    /// tag byte). A count that promises more than the body holds is an
+    /// error, and so are bytes left over after the removals.
+    pub fn parse(body: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(body);
         let tick = r.get_u64()?;
         let baseline = r.get_u64()?;
         let ack_seq = r.get_u32()?;
-        let n = r.get_u16()?;
-        let mut entries = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            entries.push(EntityState::decode(r)?);
+        let count = usize::from(r.get_u16()?);
+        let (entries, _) = r.get_raw(count * ENTITY_STATE_BYTES as usize)?.as_chunks();
+        let count = usize::from(r.get_u16()?);
+        let (removed, _) = r.get_raw(count * 8)?.as_chunks();
+        if !r.is_exhausted() {
+            return Err(WireError::BadLength(r.remaining() as u64));
         }
-        let n = r.get_u16()?;
-        let mut removed = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            removed.push(r.get_u64()?);
-        }
-        Ok(Snapshot {
+        Ok(Self {
             tick,
             baseline,
             ack_seq,
             entries,
             removed,
+        })
+    }
+
+    /// The entries, decoded one at a time in wire order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = EntityState> + 'a {
+        self.entries.iter().map(EntityState::from_wire)
+    }
+
+    /// The removed ids, in wire order.
+    pub fn removed(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.removed.iter().map(|raw| u64::from_le_bytes(*raw))
+    }
+}
+
+impl Wire for Snapshot {
+    fn encode(&self, w: &mut WireWriter) {
+        let entries = self.entries.iter().copied();
+        encode_snapshot_body(
+            w,
+            self.tick,
+            self.baseline,
+            self.ack_seq,
+            entries,
+            &self.removed,
+        );
+    }
+
+    /// A snapshot is the last thing in its frame: this takes the rest of
+    /// the reader, errs on bytes left over and copies the borrowed view.
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let view = SnapshotRef::parse(r.get_raw(r.remaining())?)?;
+        Ok(Snapshot {
+            tick: view.tick,
+            baseline: view.baseline,
+            ack_seq: view.ack_seq,
+            entries: view.entries().collect(),
+            removed: view.removed().collect(),
         })
     }
 }
@@ -220,7 +310,7 @@ pub enum ServerMsg {
 }
 
 const TAG_WELCOME: u8 = 1;
-const TAG_SNAPSHOT: u8 = 2;
+pub(crate) const TAG_SNAPSHOT: u8 = 2;
 
 impl Wire for ServerMsg {
     fn encode(&self, w: &mut WireWriter) {
@@ -344,23 +434,126 @@ mod tests {
         );
     }
 
+    fn sample_snapshot() -> Snapshot {
+        Snapshot {
+            tick: 5,
+            baseline: 4,
+            ack_seq: 1,
+            entries: vec![
+                EntityState {
+                    id: 3,
+                    x: 1,
+                    y: -2,
+                    health: 3,
+                },
+                EntityState {
+                    id: u64::MAX - 1,
+                    x: i32::MIN,
+                    y: i32::MAX,
+                    health: i16::MIN,
+                },
+            ],
+            removed: vec![8, 9],
+        }
+    }
+
     #[test]
     fn truncated_snapshot_fails_cleanly() {
-        let msg = ServerMsg::Snapshot(Snapshot {
-            tick: 5,
-            baseline: 0,
-            ack_seq: 1,
-            entries: vec![EntityState {
-                id: 3,
-                x: 1,
-                y: 2,
-                health: 3,
-            }],
-            removed: vec![],
-        });
-        let bytes = msg.to_bytes();
+        let bytes = ServerMsg::Snapshot(sample_snapshot()).to_bytes();
         for cut in 1..bytes.len() {
             assert!(ServerMsg::from_bytes(&bytes[..cut]).is_err(), "cut={cut}");
+            assert!(SnapshotRef::parse(&bytes[1..cut]).is_err(), "cut={cut}");
         }
+        assert!(SnapshotRef::parse(&bytes[1..]).is_ok());
+    }
+
+    #[test]
+    fn borrowed_view_reads_what_the_owned_message_wrote() {
+        let snap = sample_snapshot();
+        let bytes = ServerMsg::Snapshot(snap.clone()).to_bytes();
+        let view = SnapshotRef::parse(&bytes[1..]).unwrap();
+        assert_eq!((view.tick, view.baseline, view.ack_seq), (5, 4, 1));
+        assert_eq!(view.entries().count(), 2);
+        assert_eq!(view.entries().collect::<Vec<_>>(), snap.entries);
+        assert_eq!(view.removed().collect::<Vec<_>>(), snap.removed);
+        assert_eq!(Snapshot::from_bytes(&bytes[1..]).unwrap(), snap);
+        assert_eq!(
+            ServerMsg::from_bytes(&bytes).unwrap(),
+            ServerMsg::Snapshot(snap)
+        );
+    }
+
+    #[test]
+    fn rows_encode_like_the_owned_message_and_acks_patch_in_place() {
+        let snap = sample_snapshot();
+        let mut w = WireWriter::new();
+        w.put_u8(TAG_SNAPSHOT);
+        let entries = snap.entries.iter().copied();
+        encode_snapshot_body(&mut w, snap.tick, snap.baseline, 0, entries, &snap.removed);
+        patch_ack(&mut w, snap.ack_seq);
+        assert_eq!(w.copy_frame(), ServerMsg::Snapshot(snap.clone()).to_bytes());
+        // The same body serves the next receiver.
+        patch_ack(&mut w, 77);
+        let other = Snapshot {
+            ack_seq: 77,
+            ..snap
+        };
+        assert_eq!(w.copy_frame(), ServerMsg::Snapshot(other).to_bytes());
+    }
+
+    #[test]
+    fn counts_beyond_the_payload_and_trailing_bytes_err() {
+        let bytes = ServerMsg::Snapshot(sample_snapshot()).to_bytes().to_vec();
+        let entries_at = 1 + 8 + 8 + 4; // tag, tick, baseline, ack
+        let removed_at = entries_at + 2 + 2 * ENTITY_STATE_BYTES as usize;
+
+        // Either count raised to the maximum promises more than is there.
+        for at in [entries_at, removed_at] {
+            let mut lying = bytes.clone();
+            lying[at] = 0xFF;
+            lying[at + 1] = 0xFF;
+            assert!(matches!(
+                SnapshotRef::parse(&lying[1..]),
+                Err(WireError::Truncated { .. })
+            ));
+            assert!(ServerMsg::from_bytes(&lying).is_err());
+        }
+        // An entry count one too low leaves the body misaligned: the
+        // removal count is read from entry bytes, and whatever it says the
+        // body does not end where the removals do.
+        let mut short = bytes.clone();
+        short[entries_at] = 1;
+        assert!(SnapshotRef::parse(&short[1..]).is_err());
+
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(
+            SnapshotRef::parse(&trailing[1..]),
+            Err(WireError::BadLength(1))
+        );
+        assert!(ServerMsg::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn oversized_lists_are_cut_at_the_u16_count_not_wrapped() {
+        let many = usize::from(u16::MAX) + 3;
+        let entry = EntityState {
+            id: 0,
+            x: 0,
+            y: 0,
+            health: 0,
+        };
+        let entries = (0..many as u64).map(|id| EntityState { id, ..entry });
+        let removed: Vec<u64> = (0..many as u64).collect();
+        let mut w = WireWriter::new();
+        encode_snapshot_body(&mut w, 1, 0, 0, entries, &removed);
+        let body = w.copy_frame();
+        let view = SnapshotRef::parse(&body).expect("still a well-formed body");
+        assert_eq!(view.entries().count(), usize::from(u16::MAX));
+        assert_eq!(view.removed().len(), usize::from(u16::MAX));
+        assert_eq!(
+            view.entries().last().map(|e| e.id),
+            Some(u64::from(u16::MAX) - 1)
+        );
     }
 }

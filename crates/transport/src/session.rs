@@ -30,12 +30,13 @@
 //! never the tick loop.
 
 use crate::proto::{
-    ClientMsg, EntityState, InputFrame, ServerMsg, Snapshot, NO_TARGET, PROTO_VERSION,
+    encode_snapshot_body, patch_ack, ClientMsg, EntityState, InputFrame, ServerMsg, SnapshotRef,
+    NO_TARGET, PROTO_VERSION, TAG_SNAPSHOT,
 };
 use crate::{CloseReason, PeerId, Transport, TransportError, TransportEvent};
 use roia_obs::{TraceEvent, Tracer};
-use rtf_core::wire::Wire;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use rtf_core::wire::{Wire, WireWriter};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Tuning knobs shared by both session halves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +97,157 @@ pub struct Entity {
     /// Hit points.
     pub health: i16,
 }
+
+impl Entity {
+    fn from_state(e: &EntityState) -> Self {
+        Self {
+            x: e.x,
+            y: e.y,
+            health: e.health,
+        }
+    }
+
+    fn state(&self, id: u64) -> EntityState {
+        EntityState {
+            id,
+            x: self.x,
+            y: self.y,
+            health: self.health,
+        }
+    }
+}
+
+/// The entities of a session as rows sorted by id: a lookup is a binary
+/// search, iteration walks a slice in id order, and a snapshot — which
+/// the server writes in that same order — merges in one pass. Both
+/// session halves keep their world in one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct World {
+    rows: Vec<(u64, Entity)>,
+}
+
+/// Where `id` is (`Ok`) or belongs (`Err`) in id-sorted rows.
+fn slot<T>(rows: &[(u64, T)], id: u64) -> Result<usize, usize> {
+    rows.binary_search_by_key(&id, |row| row.0)
+}
+
+/// The value of `id` in id-sorted rows.
+fn find<T>(rows: &[(u64, T)], id: u64) -> Option<&T> {
+    rows.get(slot(rows, id).ok()?).map(|row| &row.1)
+}
+
+impl World {
+    /// Number of entities.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no entities.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The entity `id`, if present.
+    pub fn get(&self, id: &u64) -> Option<&Entity> {
+        find(&self.rows, *id)
+    }
+
+    /// Mutable access to the entity `id`, if present.
+    pub fn get_mut(&mut self, id: &u64) -> Option<&mut Entity> {
+        let at = slot(&self.rows, *id).ok()?;
+        self.rows.get_mut(at).map(|row| &mut row.1)
+    }
+
+    /// Whether `id` is present.
+    pub fn contains_key(&self, id: &u64) -> bool {
+        slot(&self.rows, *id).is_ok()
+    }
+
+    /// Inserts or replaces `id`.
+    pub fn insert(&mut self, id: u64, entity: Entity) {
+        self.upsert_all(std::iter::once(entity.state(id)));
+    }
+
+    /// Removes `id`; returns the entity if it was present.
+    pub fn remove(&mut self, id: &u64) -> Option<Entity> {
+        slot(&self.rows, *id).ok().map(|at| self.rows.remove(at).1)
+    }
+
+    /// `(&id, &entity)` in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&u64, &Entity)> {
+        self.into_iter()
+    }
+
+    /// The ids, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &u64> {
+        self.rows.iter().map(|row| &row.0)
+    }
+
+    /// Inserts or replaces every entry, the last of equal ids winning.
+    /// Ascending ids (what a server sends) merge in one pass: an entry is
+    /// appended when it is above every row, or else looked for at a cursor
+    /// one past its predecessor's row. Any other known id is found by
+    /// binary search and any other new id waits at the end for one stable
+    /// sort, so no order of entries costs more than O(n log n).
+    fn upsert_all(&mut self, entries: impl Iterator<Item = EntityState>) {
+        // `rows[..sorted]` is in id order; past it, new ids as they came.
+        let mut sorted = self.rows.len();
+        let mut at = 0usize;
+        for e in entries {
+            let row = (e.id, Entity::from_state(&e));
+            let len = self.rows.len();
+            let known = self.rows.get(..sorted).unwrap_or_default();
+            if sorted == len && known.last().is_none_or(|last| last.0 < e.id) {
+                at = len;
+                sorted += 1;
+            } else if known.get(at).is_none_or(|next| next.0 != e.id) {
+                at = slot(known, e.id).unwrap_or(len);
+            }
+            match self.rows.get_mut(at) {
+                Some(known) => *known = row,
+                None => self.rows.push(row),
+            }
+            at += 1;
+        }
+        if let Some(late) = self.rows.get_mut(sorted..).filter(|late| !late.is_empty()) {
+            // Newest first, so of equal ids the stable sort puts the one
+            // to keep where `dedup` keeps it.
+            late.reverse();
+            self.rows.sort_by_key(|row| row.0);
+            self.rows.dedup_by_key(|row| row.0);
+        }
+    }
+
+    /// Removes every listed id that is present: one sort of the list and
+    /// one pass over the rows, however many there are of either.
+    fn remove_all(&mut self, ids: impl Iterator<Item = u64>) {
+        let mut gone: Vec<u64> = ids.collect();
+        gone.sort_unstable();
+        if !gone.is_empty() {
+            self.rows.retain(|row| gone.binary_search(&row.0).is_err());
+        }
+    }
+
+    /// Refills `out` with every entity's `(id, position)`, id order.
+    fn positions_into(&self, out: &mut Positions) {
+        out.clear();
+        out.extend(self.rows.iter().map(|(id, e)| (*id, (e.x, e.y))));
+    }
+}
+
+impl<'a> IntoIterator for &'a World {
+    type Item = (&'a u64, &'a Entity);
+    type IntoIter =
+        std::iter::Map<std::slice::Iter<'a, (u64, Entity)>, fn(&'a (u64, Entity)) -> Self::Item>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.rows.iter().map(|row| (&row.0, &row.1))
+    }
+}
+
+/// `(id, position)` records sorted by id: one tick of the server's
+/// lag-compensation history, or the client's previous snapshot.
+type Positions = Vec<(u64, (i32, i32))>;
 
 fn clamp_move(pos: (i32, i32), dx: i8, dy: i8, step: i32, arena: i32) -> (i32, i32) {
     (
@@ -173,8 +325,11 @@ pub struct TickReport {
     pub snapshots_sent: u32,
 }
 
-/// The lag-compensation ring: per-tick position records, oldest first.
-type HistoryRing = VecDeque<(u64, BTreeMap<u64, (i32, i32)>)>;
+/// The lag-compensation ring: one position record per tick, oldest first.
+/// Every tick pushes exactly one, so the ticks are consecutive and a
+/// record is found by its distance from the front; a record that falls
+/// off the ring lends its buffer to the next.
+type HistoryRing = VecDeque<(u64, Positions)>;
 
 /// The authoritative server half: owns the world, applies sequenced
 /// inputs with per-peer acks, keeps the lag-compensation history ring
@@ -184,12 +339,18 @@ pub struct ServerSession<T: Transport> {
     cfg: SessionConfig,
     tracer: Tracer,
     tick: u64,
-    world: BTreeMap<u64, Entity>,
+    world: World,
     peers: BTreeMap<PeerId, Peer>,
     history: HistoryRing,
-    changed: BTreeSet<u64>,
+    /// Ids touched this tick, in touch order; sorted and deduplicated
+    /// when the delta is built.
+    changed: Vec<u64>,
     removed: Vec<u64>,
     events: Vec<TransportEvent>,
+    /// This tick's keyframe and delta frames, each encoded when the first
+    /// peer needs it; only `ack_seq` is rewritten from peer to peer.
+    keyframe: WireWriter,
+    delta: WireWriter,
     stats: ServerStats,
 }
 
@@ -201,12 +362,14 @@ impl<T: Transport> ServerSession<T> {
             cfg,
             tracer,
             tick: 0,
-            world: BTreeMap::new(),
+            world: World::default(),
             peers: BTreeMap::new(),
             history: VecDeque::new(),
-            changed: BTreeSet::new(),
+            changed: Vec::new(),
             removed: Vec::new(),
             events: Vec::new(),
+            keyframe: WireWriter::new(),
+            delta: WireWriter::new(),
             stats: ServerStats::default(),
         }
     }
@@ -217,7 +380,7 @@ impl<T: Transport> ServerSession<T> {
     }
 
     /// The authoritative world.
-    pub fn world(&self) -> &BTreeMap<u64, Entity> {
+    pub fn world(&self) -> &World {
         &self.world
     }
 
@@ -367,7 +530,10 @@ impl<T: Transport> ServerSession<T> {
     fn handle_msg(&mut self, peer: PeerId, msg: ClientMsg) {
         match msg {
             ClientMsg::Hello { user, version } => {
-                if version != PROTO_VERSION || self.world.contains_key(&user) {
+                // A snapshot counts its entries in a `u16`: the world is
+                // full when a keyframe could not count one more.
+                let full = self.world.len() >= usize::from(u16::MAX);
+                if version != PROTO_VERSION || full || self.world.contains_key(&user) {
                     self.drop_peer(peer, CloseReason::Error);
                     return;
                 }
@@ -380,11 +546,11 @@ impl<T: Transport> ServerSession<T> {
                         health: self.cfg.max_health,
                     },
                 );
-                self.changed.insert(user);
+                self.changed.push(user);
                 if let Some(p) = self.peers.get_mut(&peer) {
                     p.user = Some(user);
+                    Self::welcome(&mut self.transport, &self.world, self.tick, peer, p);
                 }
-                self.try_welcome(peer);
             }
             ClientMsg::Input(frame) => {
                 let Some(p) = self.peers.get_mut(&peer) else {
@@ -403,28 +569,23 @@ impl<T: Transport> ServerSession<T> {
     }
 
     /// Sends (or re-sends, after backpressure) the welcome for a peer.
-    fn try_welcome(&mut self, peer: PeerId) {
-        let Some(p) = self.peers.get_mut(&peer) else {
-            return;
-        };
+    fn welcome(transport: &mut T, world: &World, tick: u64, peer: PeerId, p: &mut Peer) {
         let Some(user) = p.user else { return };
         if p.welcomed {
             return;
         }
-        let Some(ent) = self.world.get(&user) else {
+        let Some(ent) = world.get(&user) else {
             return;
         };
         let msg = ServerMsg::Welcome {
             user,
-            tick: self.tick,
+            tick,
             x: ent.x,
             y: ent.y,
         };
-        if self.transport.send(peer, msg.to_bytes()).is_ok() {
-            if let Some(p) = self.peers.get_mut(&peer) {
-                p.welcomed = true;
-                p.needs_keyframe = true;
-            }
+        if transport.send(peer, msg.to_bytes()).is_ok() {
+            p.welcomed = true;
+            p.needs_keyframe = true;
         }
     }
 
@@ -442,7 +603,7 @@ impl<T: Transport> ServerSession<T> {
         };
         if let Some(user) = p.user {
             if self.world.remove(&user).is_some() {
-                self.changed.remove(&user);
+                self.changed.retain(|id| *id != user);
                 self.removed.push(user);
             }
         }
@@ -478,7 +639,7 @@ impl<T: Transport> ServerSession<T> {
                         ent.x = nx;
                         ent.y = ny;
                     }
-                    self.changed.insert(user);
+                    self.changed.push(user);
                 }
 
                 if frame.attack != NO_TARGET && frame.attack != user {
@@ -500,7 +661,7 @@ impl<T: Transport> ServerSession<T> {
                                 victim.health = cfg.max_health;
                                 self.stats.kills += 1;
                             }
-                            self.changed.insert(frame.attack);
+                            self.changed.push(frame.attack);
                         }
                     } else {
                         self.stats.rewind_misses += 1;
@@ -512,84 +673,64 @@ impl<T: Transport> ServerSession<T> {
     }
 
     fn push_history(&mut self) {
-        let positions: BTreeMap<u64, (i32, i32)> =
-            self.world.iter().map(|(id, e)| (*id, (e.x, e.y))).collect();
-        self.history.push_back((self.tick, positions));
-        while self.history.len() > self.cfg.history_len.max(1) {
-            self.history.pop_front();
+        let mut record = Positions::new();
+        if self.history.len() >= self.cfg.history_len.max(1) {
+            if let Some((_, oldest)) = self.history.pop_front() {
+                record = oldest;
+            }
         }
+        self.world.positions_into(&mut record);
+        self.history.push_back((self.tick, record));
     }
 
     fn broadcast(&mut self) -> u32 {
         let mut sent = 0u32;
-        let peer_ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        let entries_all: Vec<EntityState> = self
-            .world
-            .iter()
-            .map(|(id, e)| EntityState {
-                id: *id,
-                x: e.x,
-                y: e.y,
-                health: e.health,
-            })
-            .collect();
-        let entries_changed: Vec<EntityState> = self
-            .changed
-            .iter()
-            .filter_map(|id| {
-                self.world.get(id).map(|e| EntityState {
-                    id: *id,
-                    x: e.x,
-                    y: e.y,
-                    health: e.health,
-                })
-            })
-            .collect();
+        self.changed.sort_unstable();
+        self.changed.dedup();
+        self.keyframe.clear();
+        self.delta.clear();
+        let tick = self.tick;
+        let periodic = tick.is_multiple_of(self.cfg.keyframe_interval.max(1));
 
-        for peer in peer_ids {
-            self.try_welcome(peer);
-            let Some(p) = self.peers.get(&peer) else {
-                continue;
-            };
+        for (&peer, p) in self.peers.iter_mut() {
+            Self::welcome(&mut self.transport, &self.world, tick, peer, p);
             if !p.welcomed {
                 continue;
             }
-            let keyframe =
-                p.needs_keyframe || self.tick.is_multiple_of(self.cfg.keyframe_interval.max(1));
-            let snap = Snapshot {
-                tick: self.tick,
-                baseline: if keyframe { 0 } else { self.tick - 1 },
-                ack_seq: p.applied_seq,
-                entries: if keyframe {
-                    entries_all.clone()
-                } else {
-                    entries_changed.clone()
-                },
-                removed: if keyframe {
-                    Vec::new()
-                } else {
-                    self.removed.clone()
-                },
+            let keyframe = p.needs_keyframe || periodic;
+            let frame = if keyframe {
+                &mut self.keyframe
+            } else {
+                &mut self.delta
             };
-            let bytes = ServerMsg::Snapshot(snap).to_bytes();
-            match self.transport.send(peer, bytes) {
+            if frame.is_empty() {
+                // First peer this tick to need this kind of frame.
+                let world = &self.world;
+                frame.put_u8(TAG_SNAPSHOT);
+                if keyframe {
+                    let all = world.iter().map(|(id, e)| e.state(*id));
+                    encode_snapshot_body(frame, tick, 0, 0, all, &[]);
+                } else {
+                    let changed = self.changed.iter();
+                    let changed = changed.filter_map(|id| world.get(id).map(|e| e.state(*id)));
+                    encode_snapshot_body(frame, tick, tick - 1, 0, changed, &self.removed);
+                }
+            }
+            patch_ack(frame, p.applied_seq);
+            match self.transport.send(peer, frame.copy_frame()) {
                 Ok(()) => {
                     sent += 1;
                     self.stats.snapshots_sent += 1;
                     if keyframe {
                         self.stats.keyframes_sent += 1;
                     }
-                    if let Some(p) = self.peers.get_mut(&peer) {
-                        p.needs_keyframe = false;
-                    }
+                    p.needs_keyframe = false;
                 }
                 Err(TransportError::Backpressure { .. }) => {
                     // Degrade, don't disconnect: skip this snapshot and
                     // re-anchor with a keyframe once the queue drains.
                     self.stats.snapshot_skips += 1;
-                    if let Some(p) = self.peers.get_mut(&peer) {
-                        p.needs_keyframe = true;
-                    }
+                    p.needs_keyframe = true;
                 }
                 Err(_) => {
                     // Close event will arrive on the next poll.
@@ -605,23 +746,17 @@ impl<T: Transport> ServerSession<T> {
 /// views the present" and "ring does not reach that far back").
 fn rewound_pos(
     history: &HistoryRing,
-    world: &BTreeMap<u64, Entity>,
+    world: &World,
     id: u64,
     view_tick: u64,
 ) -> Option<(i32, i32)> {
-    let mut chosen: Option<&BTreeMap<u64, (i32, i32)>> = None;
-    for (t, snap) in history.iter() {
-        if *t <= view_tick || chosen.is_none() {
-            chosen = Some(snap);
-        }
-        if *t > view_tick {
-            break;
-        }
-    }
-    if let Some(pos) = chosen.and_then(|snap| snap.get(&id)) {
-        return Some(*pos);
-    }
-    world.get(&id).map(|e| (e.x, e.y))
+    let front_tick = history.front().map_or(0, |(tick, _)| *tick);
+    let back = usize::try_from(view_tick.saturating_sub(front_tick)).unwrap_or(usize::MAX);
+    let at = back.min(history.len().saturating_sub(1));
+    history
+        .get(at)
+        .and_then(|(_, record)| find(record, id).copied())
+        .or_else(|| world.get(&id).map(|e| (e.x, e.y)))
 }
 
 // ---------------------------------------------------------------------------
@@ -690,12 +825,14 @@ pub struct ClientSession<T: Transport> {
     state: ClientState,
     seq: u32,
     pending: VecDeque<InputFrame>,
-    auth: BTreeMap<u64, Entity>,
+    auth: World,
     auth_tick: u64,
-    prev: BTreeMap<u64, (i32, i32)>,
+    prev: Positions,
     predicted: (i32, i32),
     stats: ClientNetStats,
     events: Vec<TransportEvent>,
+    /// Encode buffer reused from input to input.
+    out: WireWriter,
 }
 
 impl<T: Transport> ClientSession<T> {
@@ -710,12 +847,13 @@ impl<T: Transport> ClientSession<T> {
             state: ClientState::Connecting,
             seq: 0,
             pending: VecDeque::new(),
-            auth: BTreeMap::new(),
+            auth: World::default(),
             auth_tick: 0,
-            prev: BTreeMap::new(),
+            prev: Positions::new(),
             predicted: (0, 0),
             stats: ClientNetStats::default(),
             events: Vec::new(),
+            out: WireWriter::new(),
         }
     }
 
@@ -745,7 +883,7 @@ impl<T: Transport> ClientSession<T> {
     }
 
     /// The mirrored authoritative world (self included).
-    pub fn auth_world(&self) -> &BTreeMap<u64, Entity> {
+    pub fn auth_world(&self) -> &World {
         &self.auth
     }
 
@@ -765,7 +903,7 @@ impl<T: Transport> ClientSession<T> {
     /// newest position when no previous sample exists.
     pub fn interpolated(&self, id: u64, num: i64, den: i64) -> Option<(i32, i32)> {
         let e = self.auth.get(&id)?;
-        let Some(&(px, py)) = self.prev.get(&id) else {
+        let Some(&(px, py)) = find(&self.prev, id) else {
             return Some((e.x, e.y));
         };
         if den <= 0 {
@@ -829,56 +967,40 @@ impl<T: Transport> ClientSession<T> {
     }
 
     fn handle_frame(&mut self, payload: &[u8]) -> u32 {
-        match ServerMsg::from_bytes(payload) {
-            Ok(ServerMsg::Welcome { user, x, y, .. }) if user == self.user => {
+        if let Some((&TAG_SNAPSHOT, body)) = payload.split_first() {
+            // The hot frame is applied in place, never decoded into an
+            // owned message.
+            return SnapshotRef::parse(body).map_or(0, |snap| self.apply_snapshot(&snap));
+        }
+        if let Ok(ServerMsg::Welcome { user, x, y, .. }) = ServerMsg::from_bytes(payload) {
+            if user == self.user {
                 self.state = ClientState::Welcomed;
                 self.predicted = (x, y);
-                0
             }
-            Ok(ServerMsg::Welcome { .. }) => 0,
-            Ok(ServerMsg::Snapshot(snap)) => self.apply_snapshot(snap),
-            Err(_) => 0,
         }
+        0
     }
 
-    fn apply_snapshot(&mut self, snap: Snapshot) -> u32 {
-        if snap.baseline == 0 {
-            // Keyframe: replaces the mirror.
-            self.prev = self.auth.iter().map(|(id, e)| (*id, (e.x, e.y))).collect();
-            self.auth.clear();
-            for e in &snap.entries {
-                self.auth.insert(
-                    e.id,
-                    Entity {
-                        x: e.x,
-                        y: e.y,
-                        health: e.health,
-                    },
-                );
-            }
-            self.stats.keyframes += 1;
-        } else if snap.baseline == self.auth_tick && !self.auth.is_empty() {
-            self.prev = self.auth.iter().map(|(id, e)| (*id, (e.x, e.y))).collect();
-            for e in &snap.entries {
-                self.auth.insert(
-                    e.id,
-                    Entity {
-                        x: e.x,
-                        y: e.y,
-                        health: e.health,
-                    },
-                );
-            }
-            for id in &snap.removed {
-                self.auth.remove(id);
-            }
-            self.stats.deltas += 1;
-        } else {
+    fn apply_snapshot(&mut self, snap: &SnapshotRef<'_>) -> u32 {
+        let keyframe = snap.baseline == 0;
+        if !keyframe && (snap.baseline != self.auth_tick || self.auth.is_empty()) {
             // Baseline mismatch: unusable delta. The server re-anchors
             // with a keyframe after any skip, so on a reliable transport
             // this stays 0.
             self.stats.desyncs += 1;
             return 0;
+        }
+        self.auth.positions_into(&mut self.prev);
+        if keyframe {
+            self.auth.rows.clear();
+        }
+        self.auth.upsert_all(snap.entries());
+        if keyframe {
+            // (A keyframe replaces the mirror; removals it carries are moot.)
+            self.stats.keyframes += 1;
+        } else {
+            self.auth.remove_all(snap.removed());
+            self.stats.deltas += 1;
         }
         self.auth_tick = snap.tick;
         self.stats.snapshots_applied += 1;
@@ -933,7 +1055,9 @@ impl<T: Transport> ClientSession<T> {
             dy: cmd.dy,
             attack: cmd.attack,
         };
-        let bytes = ClientMsg::Input(frame).to_bytes();
+        self.out.clear();
+        ClientMsg::Input(frame).encode(&mut self.out);
+        let bytes = self.out.copy_frame();
         if self.transport.send(crate::SERVER_PEER, bytes).is_ok() {
             self.seq += 1;
             self.predicted = clamp_move(
@@ -1223,6 +1347,111 @@ mod tests {
         }
         assert_eq!(server.world().len(), 1);
         assert_eq!(server.stats().peers_closed, 1);
+    }
+
+    #[test]
+    fn world_behaves_like_the_ordered_map_it_replaced() {
+        use std::collections::BTreeMap;
+        let ent = |x: i32| Entity {
+            x,
+            y: -x,
+            health: x as i16,
+        };
+        let mut world = World::default();
+        let mut map = BTreeMap::new();
+        let mut z = 7u64;
+        for step in 0..2_000 {
+            z = z
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let id = (z >> 33) % 48;
+            match (z >> 20) % 4 {
+                0 => assert_eq!(world.remove(&id), map.remove(&id), "step {step}"),
+                1 => {
+                    // A batch in whatever order the stream gives, with
+                    // repeats: the last of equal ids wins in both.
+                    let batch: Vec<EntityState> = (0..(z >> 8) % 14)
+                        .map(|k| ent(step + k as i32).state((id + (z >> (3 * k)) % 6) % 48))
+                        .collect();
+                    world.upsert_all(batch.iter().copied());
+                    for e in &batch {
+                        map.insert(e.id, Entity::from_state(e));
+                    }
+                }
+                _ => {
+                    world.insert(id, ent(step));
+                    map.insert(id, ent(step));
+                }
+            }
+            assert_eq!(world.get(&id), map.get(&id));
+            assert_eq!(world.contains_key(&id), map.contains_key(&id));
+            assert_eq!(world.len(), map.len());
+            assert!(
+                world.iter().eq(map.iter()),
+                "step {step}: same rows, same order"
+            );
+        }
+        assert!(world.keys().eq(map.keys()));
+        assert!((&world).into_iter().eq(&map));
+        let first = world.keys().next().copied().expect("not empty");
+        world.get_mut(&first).expect("present").health = -1;
+        assert_eq!(world.iter().next().map(|(_, e)| e.health), Some(-1));
+        assert_eq!(world.is_empty(), map.is_empty());
+    }
+
+    #[test]
+    fn hello_past_the_u16_entry_count_is_refused() {
+        let cfg = SessionConfig::default();
+        let bus = Bus::new();
+        let server_t = BusServerTransport::register(&bus, "server");
+        let node = server_t.node_id();
+        let mut server = ServerSession::new(server_t, cfg, Tracer::disabled());
+        // One short of full, without 65 534 connections.
+        let full = u64::from(u16::MAX);
+        server.world.rows = (0..full - 1)
+            .map(|id| {
+                let e = Entity {
+                    x: 0,
+                    y: 0,
+                    health: 1,
+                };
+                (id, e)
+            })
+            .collect();
+
+        let mut last = ClientSession::new(
+            BusClientTransport::connect(&bus, "last", node),
+            full,
+            cfg,
+            Tracer::disabled(),
+        );
+        let mut late = ClientSession::new(
+            BusClientTransport::connect(&bus, "late", node),
+            full + 1,
+            cfg,
+            Tracer::disabled(),
+        );
+        last.tick(None);
+        server.tick();
+        assert_eq!(server.world().len(), usize::from(u16::MAX), "the last seat");
+        late.tick(None);
+        server.tick();
+        for _ in 0..2 {
+            last.tick(None);
+            late.tick(None);
+            server.tick();
+        }
+        assert_eq!(server.world().len(), usize::from(u16::MAX));
+        // (The bus backend does not echo a server-side close to the client.)
+        assert_eq!(late.state(), ClientState::Connecting, "never welcomed");
+        assert!(!server.world().contains_key(&(full + 1)));
+        assert_eq!(server.stats().peers_closed, 1);
+        assert_eq!(server.stats().bad_frames, 0, "a well-formed frame");
+        assert_eq!(server.peer_count(), 1);
+        // The keyframe counts every entity: no wrapped count on the wire.
+        assert_eq!(last.state(), ClientState::Welcomed);
+        assert_eq!(last.auth_world().len(), usize::from(u16::MAX));
+        assert!(last.auth_world() == server.world());
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! Cross-policy behaviour: the claims of §IV/§VI, checked on live sessions.
 
 use roia::model::{CostFn, ModelParams, ScalabilityModel};
-use roia::rms::{ModelDriven, ModelDrivenConfig, Policy, StaticInterval, StaticThreshold};
+use roia::net::NodeId;
+use roia::rms::{
+    Action, ModelDriven, ModelDrivenConfig, Policy, StaticInterval, StaticThreshold, ZoneSnapshot,
+};
 use roia::sim::{run_session, ClusterConfig, Ramp, SessionConfig, SessionReport};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A fixed model (matching the calibrated demo rates) so these tests skip
 /// the measurement campaign.
@@ -69,23 +75,92 @@ fn run(policy: Box<dyn Policy>, peak: u32, initial_servers: u32) -> SessionRepor
     run_session(config, policy, &workload)
 }
 
+/// Wraps a policy and tallies the users it asks to move between replicas
+/// that stay: load balancing. Users moved off a replica the policy then
+/// shuts down were consolidation (§IV "resource removal"), a different
+/// decision, and leave the tally with their source.
+struct Rebalanced {
+    inner: Box<dyn Policy>,
+    by_source: BTreeMap<NodeId, u64>,
+    total: Arc<AtomicU64>,
+}
+
+impl Policy for Rebalanced {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, snapshot: &ZoneSnapshot, now_tick: u64) -> Vec<Action> {
+        let actions = self.inner.decide(snapshot, now_tick);
+        for action in &actions {
+            match action {
+                Action::Migrate { from, users, .. } => {
+                    *self.by_source.entry(*from).or_default() += u64::from(*users);
+                }
+                Action::RemoveReplica { server, .. } => {
+                    self.by_source.remove(server);
+                }
+                _ => {}
+            }
+        }
+        let total = self.by_source.values().sum();
+        self.total.store(total, Ordering::Relaxed);
+        actions
+    }
+
+    fn set_tracer(&mut self, tracer: roia::obs::Tracer) {
+        self.inner.set_tracer(tracer);
+    }
+}
+
+/// Runs `policy` and returns the report with its load-balancing tally.
+fn run_rebalanced(policy: Box<dyn Policy>, peak: u32, servers: u32) -> (SessionReport, u64) {
+    let total = Arc::new(AtomicU64::new(0));
+    let wrapped = Rebalanced {
+        inner: policy,
+        by_source: BTreeMap::new(),
+        total: Arc::clone(&total),
+    };
+    let report = run(Box::new(wrapped), peak, servers);
+    (report, total.load(Ordering::Relaxed))
+}
+
 #[test]
 fn model_driven_paces_migrations() {
     // Two servers, imbalanced arrivals are rebalanced continuously by the
     // static baseline but paced by the model-driven policy.
+    //
+    // `SessionReport::migrations` is a lifetime total since the
+    // `Cluster::total_migrations` fix: it keeps a removed replica's share,
+    // and so shows what the live-servers-only sum used to drop: 120 users
+    // fit one server, the default policy consolidates from the first round
+    // and drains 118 users off the replica it then removes, where the
+    // baseline (which never removes) moves none. That is the price of the
+    // removal, not of balancing, so the comparison is on the rebalancing
+    // share of what each policy asked for.
     let m = model();
-    let md = run(
+    let (md, md_rebalanced) = run_rebalanced(
         Box::new(ModelDriven::new(m, ModelDrivenConfig::default())),
         120,
         2,
     );
-    let si = run(Box::new(StaticInterval::new(1, 10_000)), 120, 2);
+    let (si, si_rebalanced) = run_rebalanced(Box::new(StaticInterval::new(1, 10_000)), 120, 2);
     assert!(
-        md.migrations <= si.migrations,
-        "model-driven must not migrate more than the every-round equalizer: {} vs {}",
+        md_rebalanced <= si_rebalanced,
+        "model-driven must not rebalance more than the every-round equalizer: \
+         {md_rebalanced} vs {si_rebalanced} (lifetime totals {} vs {})",
         md.migrations,
         si.migrations
     );
+    // Everything else the model-driven policy moved went off the replica
+    // it shut down; the survivor holds the whole population.
+    assert_eq!(md.replicas_removed, 1);
+    assert!(
+        md.migrations <= 120,
+        "the drain moves each user at most once: {}",
+        md.migrations
+    );
+    assert_eq!(md.history.last().unwrap().users, 120);
 }
 
 #[test]
