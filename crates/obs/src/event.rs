@@ -162,6 +162,9 @@ trace_events! {
             replicas: u32,
             /// Users `n` in the snapshot.
             users: u32,
+            /// Users the replication trigger read: `n`, or its trend
+            /// forecast one boot delay ahead when that is larger.
+            forecast_users: u32,
             /// NPCs `m` in the snapshot.
             npcs: u32,
             /// Eq. 4 predicted tick duration `T(l, n, m)` in seconds.
@@ -648,13 +651,14 @@ mod tests {
                     model_version: 3,
                     replicas: 2,
                     users: 210,
+                    forecast_users: 214,
                     npcs: 150,
                     predicted_tick_s: 0.0388,
                     n_max: 260,
                     trigger: 208,
                     l_max: 5,
                 },
-                    "{\"ev\": \"decision\", \"tick\": 4175, \"zone\": 0, \"kind\": \"add_replica\", \"model_version\": 3, \"replicas\": 2, \"users\": 210, \"npcs\": 150, \"predicted_tick_s\": 0.0388, \"n_max\": 260, \"trigger\": 208, \"l_max\": 5}",
+                    "{\"ev\": \"decision\", \"tick\": 4175, \"zone\": 0, \"kind\": \"add_replica\", \"model_version\": 3, \"replicas\": 2, \"users\": 210, \"forecast_users\": 214, \"npcs\": 150, \"predicted_tick_s\": 0.0388, \"n_max\": 260, \"trigger\": 208, \"l_max\": 5}",
                 ),
                 (
                 TraceEvent::MigrationBudget {

@@ -269,6 +269,7 @@ mod tests {
             model_version: 1,
             replicas: 2,
             users: 100,
+            forecast_users: 100,
             npcs: 50,
             predicted_tick_s: 0.02,
             n_max: 300,

@@ -7,10 +7,10 @@
 //! of §IV ([`Action`]) using a pluggable [`Policy`], and leases machines
 //! from a simulated cloud ([`ResourcePool`]).
 //!
-//! The [`ModelDriven`] policy is the paper's contribution and
-//! [`PredictiveModelDriven`] its forecasting variant; the two baselines
-//! ([`StaticInterval`], the initial RTF-RMS, and [`StaticThreshold`])
-//! reproduce the strategies the paper positions itself against.
+//! The [`ModelDriven`] policy is the paper's contribution; the two
+//! baselines ([`StaticInterval`], the initial RTF-RMS, and
+//! [`StaticThreshold`]) reproduce the strategies the paper positions
+//! itself against.
 
 #![warn(missing_docs, unreachable_pub)]
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
@@ -27,7 +27,5 @@ pub use actions::{Action, ActionId, ActionLog, ActionOutcome, LoggedAction};
 pub use controller::{ControllerConfig, IssuedAction, RetryConfig, RmsController};
 pub use degraded::{Admission, AdmissionMode, DegradedConfig};
 pub use monitor::{ServerSnapshot, ZoneSnapshot};
-pub use policy::{
-    ModelDriven, ModelDrivenConfig, Policy, PredictiveModelDriven, StaticInterval, StaticThreshold,
-};
+pub use policy::{ModelDriven, ModelDrivenConfig, Policy, StaticInterval, StaticThreshold};
 pub use resources::{BootEvent, LeaseId, MachineProfile, PoolError, ReadyMachine, ResourcePool};

@@ -1,10 +1,10 @@
 //! Load-balancing policies.
 //!
 //! [`ModelDriven`] is the paper's contribution: every decision is gated by
-//! the scalability model's thresholds. [`PredictiveModelDriven`] puts a
-//! user-count forecast in front of its replication trigger (Nae et al.
-//! \[16\]). The two baselines reproduce the strategies the paper compares
-//! against in §IV/§VI:
+//! the scalability model's thresholds, and its replication trigger reads
+//! a user-count forecast one boot delay ahead (Nae et al. \[16\]). The
+//! two baselines reproduce the strategies the paper compares against in
+//! §IV/§VI:
 //!
 //! * [`StaticInterval`] — the *initial* RTF-RMS behaviour: equalize user
 //!   counts every round with no regard for migration overhead.
@@ -12,12 +12,10 @@
 //!   user count triggers migration/scale-out.
 
 mod model_driven;
-mod predictive;
 mod static_interval;
 mod static_threshold;
 
 pub use model_driven::{ModelDriven, ModelDrivenConfig};
-pub use predictive::PredictiveModelDriven;
 pub use static_interval::StaticInterval;
 pub use static_threshold::StaticThreshold;
 
@@ -33,8 +31,8 @@ pub trait Policy: Send {
     /// Decides the actions for one control round.
     fn decide(&mut self, snapshot: &ZoneSnapshot, now_tick: u64) -> Vec<Action>;
 
-    /// Installs a telemetry tracer. Policies that keep a decision audit
-    /// trail ([`ModelDriven`], [`PredictiveModelDriven`]) emit their
-    /// Eq. 1–5 evaluations through it; the baselines ignore it.
+    /// Installs a telemetry tracer. [`ModelDriven`] emits its decision
+    /// audit trail (the Eq. 1–5 evaluations) through it; the baselines
+    /// ignore it.
     fn set_tracer(&mut self, _tracer: Tracer) {}
 }

@@ -6,9 +6,13 @@
 //!   initiates at most `x_max_ini` migrations per control round and every
 //!   target receives at most its `x_max_rcv` (Listing 1);
 //! * **replication enactment** fires at 80 % of `n_max(l)` (Fig. 5's
-//!   dashed line) and never beyond `l_max` (Eq. (3));
+//!   dashed line) and never beyond `l_max` (Eq. (3)). The trigger reads
+//!   the larger of the current user count and its linear-trend forecast
+//!   one boot delay ahead (after Nae et al. \[16\]): users arriving faster
+//!   than a machine boots would otherwise eat the 20 % headroom before the
+//!   new replica serves;
 //! * **resource substitution** replaces a standard machine once `l_max` is
-//!   reached;
+//!   reached, on the same forecast trigger;
 //! * **resource removal** drains the least loaded replica (with paced
 //!   migrations) once the population fits comfortably on `l − 1` servers.
 
@@ -19,6 +23,7 @@ use roia_autocal::ModelRegistry;
 use roia_model::{MigrationSide, ScalabilityModel};
 use roia_obs::{TraceEvent, Tracer};
 use rtf_core::net::NodeId;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Remove a replica when `n` drops below this fraction of `n_max(l − 1)`
@@ -26,8 +31,12 @@ use std::sync::Arc;
 /// flap).
 const REMOVE_FRACTION: f64 = 0.6;
 /// Control rounds to wait after requesting a replica before requesting
-/// another (covers the machine's boot delay).
+/// another (covers the machine's boot delay). Also the horizon of the
+/// replication forecast, in rounds.
 const REPLICA_COOLDOWN_ROUNDS: u32 = 4;
+/// Control rounds of user counts the replication forecast fits its trend
+/// to.
+const FORECAST_WINDOW: usize = 8;
 /// Ignore imbalance smaller than this many users.
 const MIN_IMBALANCE: u32 = 4;
 
@@ -41,6 +50,12 @@ pub struct ModelDrivenConfig {
     /// up — a full-budget burst overshoots `U`. Below 1 this hedges the
     /// budget so a cost underestimate of up to `1/h` still fits in the
     /// slack. `1.0` reproduces the paper's strict budgets.
+    ///
+    /// No caller in the tree sets it. It stays a field because the
+    /// frozen performance ledger builds this struct as
+    /// `ModelDrivenConfig { overload_migration_floor, ..default() }`,
+    /// and without a second field that update syntax is a
+    /// `clippy::needless_update` error.
     pub migration_headroom: f64,
     /// Minimum migrations per round allowed *off a server whose observed
     /// tick already exceeds `U`*. The Eq. (5) budget is zero there — no
@@ -49,6 +64,10 @@ pub struct ModelDrivenConfig {
     /// can never shed users, so its tick never recovers. A floor of 1
     /// accepts one transiently worse tick per round to escape the
     /// overload. `0` reproduces the paper's strict budgets.
+    ///
+    /// Only the frozen performance ledger's `churn_full_stack` workload
+    /// sets it; the field goes with the ledger change that drops that
+    /// setting.
     pub overload_migration_floor: u32,
 }
 
@@ -58,6 +77,71 @@ impl Default for ModelDrivenConfig {
             migration_headroom: 1.0,
             overload_migration_floor: 0,
         }
+    }
+}
+
+/// Least-squares linear trend of the zone's user count over the last
+/// [`FORECAST_WINDOW`] control rounds.
+#[derive(Debug, Clone, Default)]
+struct TrendForecaster {
+    samples: VecDeque<(u64, u32)>,
+}
+
+impl TrendForecaster {
+    /// Records one control round's user count. A round with no users
+    /// restarts the window: the step from an empty zone to its first
+    /// population is not an arrival trend.
+    fn observe(&mut self, tick: u64, users: u32) {
+        if users == 0 {
+            self.samples.clear();
+            return;
+        }
+        if self.samples.len() == FORECAST_WINDOW {
+            self.samples.pop_front();
+        }
+        self.samples.push_back((tick, users));
+    }
+
+    /// Least-squares slope in users per tick (0.0 on a degenerate window).
+    fn slope(&self) -> f64 {
+        let nf = roia_model::convert::f64_from_usize(self.samples.len());
+        let mean_t = self
+            .samples
+            .iter()
+            .map(|&(t, _)| roia_model::convert::f64_from_u64(t))
+            .sum::<f64>()
+            / nf;
+        let mean_u = self.samples.iter().map(|&(_, u)| f64::from(u)).sum::<f64>() / nf;
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for &(t, u) in &self.samples {
+            let dt = roia_model::convert::f64_from_u64(t) - mean_t;
+            num += dt * (f64::from(u) - mean_u);
+            den += dt * dt;
+        }
+        if den <= 0.0 {
+            0.0
+        } else {
+            num / den
+        }
+    }
+
+    /// The user count [`REPLICA_COOLDOWN_ROUNDS`] rounds after the latest
+    /// one, at the round spacing observed, clamped at zero. With fewer
+    /// than two rounds it is the latest count (0 with none).
+    fn forecast(&self) -> u32 {
+        let (Some(&(first, _)), Some(&(last_tick, last))) =
+            (self.samples.front(), self.samples.back())
+        else {
+            return 0;
+        };
+        if self.samples.len() < 2 {
+            return last;
+        }
+        let rounds = roia_model::convert::f64_from_usize(self.samples.len() - 1);
+        let spacing = roia_model::convert::f64_from_u64(last_tick.saturating_sub(first)) / rounds;
+        let horizon = f64::from(REPLICA_COOLDOWN_ROUNDS) * spacing;
+        roia_model::convert::round_u32(f64::from(last) + self.slope() * horizon)
     }
 }
 
@@ -72,6 +156,7 @@ pub struct ModelDriven {
     draining: Option<NodeId>,
     cooldown_rounds_left: u32,
     replicas_last_round: u32,
+    forecaster: TrendForecaster,
     tracer: Tracer,
 }
 
@@ -86,6 +171,7 @@ impl ModelDriven {
             draining: None,
             cooldown_rounds_left: 0,
             replicas_last_round: 0,
+            forecaster: TrendForecaster::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -103,6 +189,7 @@ impl ModelDriven {
             draining: None,
             cooldown_rounds_left: 0,
             replicas_last_round: 0,
+            forecaster: TrendForecaster::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -123,6 +210,12 @@ impl ModelDriven {
                 self.model_version = current.version;
             }
         }
+    }
+
+    /// The user count the replication trigger reads: `n`, or its forecast
+    /// one boot delay ahead when that is larger.
+    fn users_ahead(&self, n: u32) -> u32 {
+        self.forecaster.forecast().max(n)
     }
 
     /// Applies the migration-headroom hedge to a raw slack budget.
@@ -147,6 +240,7 @@ impl ModelDriven {
             model_version: self.model_version,
             replicas: l,
             users: n,
+            forecast_users: self.users_ahead(n),
             npcs: m,
             predicted_tick_s: self.model.tick(l.max(1), n, m, n.div_ceil(l.max(1))),
             n_max,
@@ -301,11 +395,12 @@ impl Policy for ModelDriven {
     fn decide(&mut self, snapshot: &ZoneSnapshot, now_tick: u64) -> Vec<Action> {
         self.refresh_model();
         let mut out = Vec::new();
+        let n = snapshot.total_users();
+        self.forecaster.observe(now_tick, n);
         let l = snapshot.replicas();
         if l == 0 {
             return out;
         }
-        let n = snapshot.total_users();
         let m = snapshot.npcs;
 
         // A new replica joined: reset the cooldown.
@@ -353,7 +448,7 @@ impl Policy for ModelDriven {
         let trigger = self.model.replication_trigger(l, m);
         let limit = self.model.max_replicas(m);
 
-        if n >= trigger && self.cooldown_rounds_left == 0 {
+        if self.users_ahead(n) >= trigger && self.cooldown_rounds_left == 0 {
             if l < limit.l_max {
                 out.push(Action::AddReplica {
                     zone: snapshot.zone,
@@ -658,6 +753,181 @@ mod tests {
                 .any(|a| matches!(a, Action::AddReplica { .. })),
             "below the stale trigger but above the live one: {actions:?}"
         );
+    }
+
+    #[test]
+    fn forecaster_learns_linear_trend() {
+        let mut f = TrendForecaster::default();
+        for i in 0..8u64 {
+            f.observe(i * 25, (10 + i * 5) as u32); // +5 users per 25 ticks
+        }
+        assert!((f.slope() - 0.2).abs() < 1e-9, "slope {}", f.slope());
+        // Four rounds of 25 ticks ahead of the latest 45: +20.
+        assert_eq!(f.forecast(), 45 + 20);
+    }
+
+    #[test]
+    fn forecaster_handles_flat_and_empty() {
+        let mut f = TrendForecaster::default();
+        assert_eq!(f.forecast(), 0);
+        f.observe(0, 50);
+        assert_eq!(f.forecast(), 50, "single sample: no trend");
+        f.observe(25, 50);
+        assert_eq!(f.forecast(), 50, "flat");
+        f.observe(50, 0);
+        assert_eq!(f.forecast(), 0, "an empty round restarts the window");
+        f.observe(75, 400);
+        assert_eq!(f.forecast(), 400, "the step from empty is no trend");
+    }
+
+    #[test]
+    fn forecast_never_negative() {
+        let mut f = TrendForecaster::default();
+        for i in 0..8u64 {
+            f.observe(i * 25, 100 - (i * 12) as u32);
+        }
+        assert_eq!(f.forecast(), 0);
+    }
+
+    #[test]
+    fn replication_fires_ahead_of_a_climb() {
+        // trigger(1) = 319 for this model. Population climbing 10/round,
+        // currently 280: the count alone waits, the forecast (4 rounds of
+        // 25 ticks ⇒ +40) fires now.
+        let mut p = ModelDriven::new(model(), ModelDrivenConfig::default());
+        for round in 0..8u64 {
+            let users = 210 + round as u32 * 10; // 210 .. 280
+            let actions = p.decide(&snapshot(&[users], &[users as f64 * 0.1]), round * 25);
+            let added = actions
+                .iter()
+                .any(|a| matches!(a, Action::AddReplica { .. }));
+            assert_eq!(added, round == 7, "round {round}: {actions:?}");
+        }
+    }
+
+    #[test]
+    fn flat_load_holds() {
+        let mut p = ModelDriven::new(model(), ModelDrivenConfig::default());
+        for round in 0..10u64 {
+            let actions = p.decide(&snapshot(&[150], &[15.0]), round * 25);
+            assert!(
+                actions.is_empty(),
+                "flat mid-range load needs nothing: {actions:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_round_then_a_flat_population_adds_no_replica() {
+        // 0 users, then 400 flat on 4 replicas. Read as a trend, the step
+        // is 16 users/tick and forecasts 2 000, past trigger(4). The
+        // per-user cost puts 400 between the scale-down line and the
+        // trigger, so only the forecast could act.
+        let params = ModelParams {
+            t_ua: CostFn::Constant(2.5e-4),
+            ..model().params
+        };
+        let model = ScalabilityModel::new(params, 0.040);
+        let trigger = model.replication_trigger(4, 0);
+        assert!(400 < trigger && trigger < 2000, "trigger(4) = {trigger}");
+        assert!(f64::from(model.max_users(3, 0)) * REMOVE_FRACTION <= 400.0);
+        let mut p = ModelDriven::new(model, ModelDrivenConfig::default());
+        let empty = snapshot(&[0; 4], &[0.5; 4]);
+        let flat = snapshot(&[100; 4], &[10.0; 4]);
+        p.decide(&empty, 0);
+        for round in 1..12u64 {
+            let actions = p.decide(&flat, round * 25);
+            assert!(
+                actions
+                    .iter()
+                    .all(|a| !matches!(a, Action::AddReplica { .. })),
+                "round {round}: {actions:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_migration_exceeds_the_donors_real_count() {
+        // Two servers, climbing load near the trigger: any Migrate emitted
+        // must be executable against the snapshot.
+        let mut p = ModelDriven::new(model(), ModelDrivenConfig::default());
+        for round in 0..10u64 {
+            let users = 240 + round as u32 * 12;
+            let snap = snapshot(&[users, users / 3], &[30.0, 12.0]);
+            for action in p.decide(&snap, round * 25) {
+                if let Action::Migrate {
+                    from, users: moved, ..
+                } = action
+                {
+                    let have = snap.server(from).unwrap().active_users;
+                    assert!(moved <= have, "migration of {moved} > {have}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pre_provisioning_round_audits_one_decision_and_the_budgets_it_spends() {
+        let (tracer, ring) = Tracer::ring(1 << 12);
+        let mut p = ModelDriven::new(model(), ModelDrivenConfig::default());
+        p.set_tracer(tracer);
+        let trigger = p.model().replication_trigger(2, 0);
+        // Climbing 10/round toward trigger(2): the forecast (+40) crosses
+        // it while the count is 31 short.
+        let (mut last, mut now) = (Vec::new(), 0);
+        for round in 0..8u64 {
+            let users = trigger - 71 + round as u32 * 10;
+            let snap = snapshot(&[users * 2 / 3, users - users * 2 / 3], &[30.0, 15.0]);
+            now = round * 25;
+            last = p.decide(&snap, now);
+            if last.iter().any(|a| matches!(a, Action::AddReplica { .. })) {
+                break;
+            }
+        }
+        assert_eq!(now, 4 * 25, "{last:?}");
+        let events: Vec<TraceEvent> = ring.lock().unwrap().drain();
+        let decisions: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Decision {
+                    tick,
+                    kind,
+                    users,
+                    forecast_users,
+                    trigger: t,
+                    ..
+                } if *tick == now => Some((*kind, *users, *forecast_users, *t)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            decisions,
+            vec![("add_replica", trigger - 31, trigger + 9, trigger)]
+        );
+        let mut issued: Vec<(u32, u32, u32)> = last
+            .iter()
+            .filter_map(|a| match a {
+                Action::Migrate { from, to, users } => Some((from.0, to.0, *users)),
+                _ => None,
+            })
+            .collect();
+        let mut granted: Vec<(u32, u32, u32)> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::MigrationBudget {
+                    tick,
+                    from,
+                    to,
+                    granted,
+                    ..
+                } if *tick == now && *granted > 0 => Some((*from, *to, *granted)),
+                _ => None,
+            })
+            .collect();
+        issued.sort_unstable();
+        granted.sort_unstable();
+        assert!(!issued.is_empty(), "the round also rebalanced");
+        assert_eq!(granted, issued);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the observed tick durations move. [`RegimeShift`] applies the change
 //! to a running [`Cluster`]; a drift session is an ordinary
 //! [`run_session`](crate::session::run_session) with the shift in its
-//! config and the policy tuned by [`drift_hedge`]. It runs in one of two
+//! config. It runs in one of two
 //! arms: the *frozen* arm gives the seed model to `ModelDriven::new` and
 //! as the reference model; the *online* arm attaches an `OnlineCalibrator`
 //! and hands its registry to `ModelDriven::live`. The report's per-tick
@@ -16,7 +16,6 @@
 //! arms can be compared tick for tick.
 
 use crate::cluster::Cluster;
-use rtf_rms::ModelDrivenConfig;
 use rtfdemo::BotBehavior;
 
 /// A mid-session workload regime shift.
@@ -66,18 +65,5 @@ impl RegimeShift {
         if let Some(factor) = self.cost_factor {
             cluster.scale_cost_rates(factor);
         }
-    }
-}
-
-/// The model-driven tuning drift sessions run with. After the shift the
-/// model's migration-cost estimates lag reality until refits catch up, so
-/// drift sessions hedge the Fig. 7 budgets: spend half the slack per round
-/// instead of all of it. And since a shift can push a server past U
-/// before rebalancing starts (where the strict Eq. 5 budget is zero and
-/// would deadlock), allow a trickle of migrations off overloaded servers.
-pub fn drift_hedge() -> ModelDrivenConfig {
-    ModelDrivenConfig {
-        migration_headroom: 0.5,
-        overload_migration_floor: 2,
     }
 }

@@ -31,7 +31,7 @@ pub use chaos::{Fault, FaultPlan, ScheduledFault};
 pub use cluster::{
     ActionExec, ClientHandle, Cluster, ClusterConfig, ClusterTickStats, JoinOutcome,
 };
-pub use drift::{drift_hedge, RegimeShift};
+pub use drift::RegimeShift;
 pub use measure::{
     calibrated_demo_model, default_demo_model, measure_bandwidth_params, measure_migration_params,
     measure_replication_params, MeasureConfig,

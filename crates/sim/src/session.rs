@@ -253,7 +253,6 @@ pub fn run_session(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::drift::drift_hedge;
     use crate::workload::Ramp;
     use roia_autocal::CalibratorConfig;
     use roia_model::{CostFn, ModelParams, ScalabilityModel};
@@ -454,7 +453,10 @@ pub(crate) mod tests {
             reference_model: Some(rough_model()),
             ..drift_config()
         };
-        let policy = Box::new(ModelDriven::new(rough_model(), drift_hedge()));
+        let policy = Box::new(ModelDriven::new(
+            rough_model(),
+            ModelDrivenConfig::default(),
+        ));
         let workload = Ramp {
             from: 0,
             to,
@@ -498,7 +500,10 @@ pub(crate) mod tests {
         };
         cal.registry.cooldown_ticks = 50;
         let calibrator = OnlineCalibrator::new(rough_model(), cal);
-        let policy = Box::new(ModelDriven::live(calibrator.registry(), drift_hedge()));
+        let policy = Box::new(ModelDriven::live(
+            calibrator.registry(),
+            ModelDrivenConfig::default(),
+        ));
         let config = ManagedSessionConfig {
             autocal: Some(calibrator),
             ..drift_config()

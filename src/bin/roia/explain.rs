@@ -163,6 +163,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                 model_version,
                 replicas,
                 users,
+                forecast_users,
                 npcs,
                 predicted_tick_s,
                 n_max,
@@ -174,7 +175,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                 println!(
                     "{stamp}    decision      {kind} (zone {zone}, model v{model_version}): \
                      l={replicas} n={users} m={npcs} -> T={:.1}ms | n_max={n_max} \
-                     trigger={trigger} l_max={l_max}",
+                     trigger={trigger} forecast={forecast_users} l_max={l_max}",
                     predicted_tick_s * 1e3
                 );
             }

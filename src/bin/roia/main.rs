@@ -40,9 +40,7 @@ use roia_obs::{MetricsRegistry, Tracer};
 use roia_sim::{
     calibrated_demo_model, ClusterConfig, ManagedSessionConfig, MeasureConfig, PaperSession,
 };
-use rtf_rms::{
-    ModelDriven, ModelDrivenConfig, Policy, PredictiveModelDriven, StaticInterval, StaticThreshold,
-};
+use rtf_rms::{ModelDriven, ModelDrivenConfig, Policy, StaticInterval, StaticThreshold};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -144,7 +142,7 @@ const COMMANDS: &[Command] = &[
     Command::common("fig6", "Fig. 6: fitted migration cost functions", &[], fig6::run),
     Command::common("fig7", "Fig. 7: migration budgets vs tick duration", &[], fig7::run),
     Command::common("fig8", "Fig. 8: the managed 300-user session", &[], fig8::run),
-    Command::common("policy_compare", "the Fig. 8 session under four policies", &[], policy_compare::run),
+    Command::common("policy_compare", "the Fig. 8 session under three policies", &[], policy_compare::run),
     Command::common("chaos_session", "the Fig. 8 session under fault plans", &[], chaos_session::run),
     Command::own("explain", "replay a JSONL trace as a timeline", explain::FLAGS, Some("TRACE.jsonl"), explain::run),
     Command::own("top", "operations console over a JSONL trace", top::FLAGS, Some("TRACE.jsonl"), top::run),
@@ -346,20 +344,14 @@ fn managed_session(args: &Args, ticks: u64) -> ManagedSessionConfig {
     }
 }
 
-/// The load-balancing policy `name` (`model`, `predictive`, `static`,
-/// `threshold`), sized from `model` — the one place a policy is built by
-/// name.
+/// The load-balancing policy `name` (`model`, `static`, `threshold`),
+/// sized from `model` — the one place a policy is built by name.
 fn policy_by_name(name: &str, model: &ScalabilityModel) -> Result<Box<dyn Policy>, String> {
     let n1 = model.max_users(1, 0);
     Ok(match name {
         "model" => Box::new(ModelDriven::new(
             model.clone(),
             ModelDrivenConfig::default(),
-        )),
-        "predictive" => Box::new(PredictiveModelDriven::new(
-            model.clone(),
-            ModelDrivenConfig::default(),
-            100,
         )),
         "static" => Box::new(StaticInterval::new(n1)),
         "threshold" => Box::new(StaticThreshold::new(n1)),

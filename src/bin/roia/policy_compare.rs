@@ -1,10 +1,10 @@
 //! Policy comparison — the §IV/§VI argument, quantified.
 //!
-//! Runs the same §V-B session (ramp to 300 users and back) under the four
-//! load-balancing policies [`policy_by_name`] builds — `model-driven`,
-//! its forecasting variant `predictive-model-driven`, and the paper's two
-//! baselines `static-interval` (the initial RTF-RMS) and
-//! `static-threshold` (Duong & Zhou) — and prints a comparison table:
+//! Runs the same §V-B session (ramp to 300 users and back) under the
+//! three load-balancing policies [`policy_by_name`] builds —
+//! `model-driven` and the paper's two baselines `static-interval` (the
+//! initial RTF-RMS) and `static-threshold` (Duong & Zhou) — and prints a
+//! comparison table:
 //! threshold violations, migration volume, scaling actions and cloud
 //! cost. The paper's qualitative claims to check:
 //!
@@ -27,7 +27,7 @@ use roia_sim::{run_session, MeasureConfig, PaperSession, SessionReport};
 pub fn run(args: &Args) -> Result<(), String> {
     let (_cal, model) = calibrated_model(&MeasureConfig::default())?;
     let mut reports: Vec<SessionReport> = Vec::new();
-    for name in ["model", "predictive", "static", "threshold"] {
+    for name in ["model", "static", "threshold"] {
         let config = managed_session(args, session_ticks(args));
         let policy = policy_by_name(name, &model)?;
         reports.push(run_session(config, policy, &PaperSession::default()));
@@ -62,7 +62,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     let model_driven = &reports[0];
-    let static_interval = &reports[2];
+    let static_interval = &reports[1];
     println!();
     println!(
         "{}",

@@ -4,7 +4,7 @@
 //! roia calibrate [--max-users N] [--noise X] [--out model.roia]
 //! roia thresholds --model model.roia [--c 0.15] [--npcs 0]
 //! roia plan --model model.roia --users 25,12,8
-//! roia session --model model.roia [--peak 300] [--minutes 5] [--policy model|predictive|static|threshold]
+//! roia session --model model.roia [--peak 300] [--minutes 5] [--policy model|static|threshold]
 //! ```
 //!
 //! A provider calibrates once per application build (`calibrate` runs the
@@ -23,7 +23,7 @@ pub const SESSION: &[Flag] = &[
     ("--model", "FILE"),
     ("--peak", "N"),
     ("--minutes", "M"),
-    ("--policy", "model|predictive|static|threshold"),
+    ("--policy", "model|static|threshold"),
 ];
 
 fn load_model(args: &Args) -> Result<ScalabilityModel, String> {

@@ -18,10 +18,10 @@ use crate::{calibrated_model, tracer, write_json_doc, write_metrics, Args, Flag}
 use roia_autocal::{CalibratorConfig, OnlineCalibrator};
 use roia_obs::export as json;
 use roia_sim::{
-    drift_hedge, run_session, table, ClusterConfig, ManagedSessionConfig, MeasureConfig, Ramp,
-    RegimeShift, Series, SessionReport,
+    run_session, table, ClusterConfig, ManagedSessionConfig, MeasureConfig, Ramp, RegimeShift,
+    Series, SessionReport,
 };
-use rtf_rms::ModelDriven;
+use rtf_rms::{ModelDriven, ModelDrivenConfig};
 
 pub const FLAGS: &[Flag] = &[("--shift-tick", "N"), ("--npcs", "N"), ("--users", "N")];
 
@@ -92,12 +92,18 @@ pub fn run(args: &Args) -> Result<(), String> {
             reference_model: Some(model.clone()),
             ..session()
         },
-        Box::new(ModelDriven::new(model.clone(), drift_hedge())),
+        Box::new(ModelDriven::new(
+            model.clone(),
+            ModelDrivenConfig::default(),
+        )),
         &workload,
     );
     println!("running online arm ({ticks} ticks)...");
     let calibrator = OnlineCalibrator::new(model, CalibratorConfig::default());
-    let policy = Box::new(ModelDriven::live(calibrator.registry(), drift_hedge()));
+    let policy = Box::new(ModelDriven::live(
+        calibrator.registry(),
+        ModelDrivenConfig::default(),
+    ));
     let online_config = ManagedSessionConfig {
         autocal: Some(calibrator),
         tracer: tracer(args.trace.as_deref())?,

@@ -10,7 +10,7 @@
 
 use roia::model::{CostFn, ModelParams, ScalabilityModel};
 use roia::rms::{ModelDriven, ModelDrivenConfig};
-use roia::sim::drift::{drift_hedge, RegimeShift};
+use roia::sim::drift::RegimeShift;
 use roia::sim::invariants::double_run;
 use roia::sim::{run_session, ClusterConfig, ManagedSessionConfig, Ramp, SessionReport};
 
@@ -115,7 +115,7 @@ fn drift_session_is_deterministic_under_tracing() {
             shift: Some(RegimeShift::attack_surge(300, 150)),
             ..ManagedSessionConfig::default()
         };
-        let policy = Box::new(ModelDriven::new(model(), drift_hedge()));
+        let policy = Box::new(ModelDriven::new(model(), ModelDrivenConfig::default()));
         let workload = Ramp {
             from: 0,
             to: 80,

@@ -75,6 +75,7 @@ fn audit_trail_reconstructs_scale_up_and_migration_wave() {
             TraceEvent::Decision {
                 kind: "add_replica",
                 users,
+                forecast_users,
                 replicas,
                 n_max,
                 trigger,
@@ -83,6 +84,7 @@ fn audit_trail_reconstructs_scale_up_and_migration_wave() {
                 ..
             } => Some((
                 *users,
+                *forecast_users,
                 *replicas,
                 *n_max,
                 *trigger,
@@ -92,14 +94,14 @@ fn audit_trail_reconstructs_scale_up_and_migration_wave() {
             _ => None,
         })
         .expect("an add_replica decision was audited");
-    let (users, replicas, n_max, trigger, l_max, predicted) = add;
+    let (users, forecast_users, replicas, n_max, trigger, l_max, predicted) = add;
     assert!(
         trigger > 0 && trigger < n_max,
         "Eq. 2 trigger below capacity"
     );
     assert!(
-        users >= trigger,
-        "the decision fired at or past the trigger"
+        forecast_users >= trigger && forecast_users >= users,
+        "the decision fired at or past the trigger, on the count or its forecast"
     );
     assert!(replicas < l_max, "Eq. 3 allowed another replica");
     assert!(predicted > 0.0, "Eq. 4 prediction recorded");

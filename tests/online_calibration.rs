@@ -10,8 +10,8 @@ use roia::autocal::{
     PublishOutcome, RefitReason, RegistryConfig,
 };
 use roia::model::{CostFn, ModelParams, ParamKind, ScalabilityModel};
-use roia::rms::ModelDriven;
-use roia::sim::drift::{drift_hedge, RegimeShift};
+use roia::rms::{ModelDriven, ModelDrivenConfig};
+use roia::sim::drift::RegimeShift;
 use roia::sim::{run_session, ClusterConfig, ManagedSessionConfig, Ramp, SessionReport};
 
 const U_THRESHOLD: f64 = 0.040;
@@ -101,10 +101,10 @@ fn online_controller_holds_u_where_frozen_model_drifts() {
             reference_model: Some(seed_model()),
             ..drift_session()
         },
-        ModelDriven::new(seed_model(), drift_hedge()),
+        ModelDriven::new(seed_model(), ModelDrivenConfig::default()),
     );
     let calibrator = OnlineCalibrator::new(seed_model(), online_calibration());
-    let policy = ModelDriven::live(calibrator.registry(), drift_hedge());
+    let policy = ModelDriven::live(calibrator.registry(), ModelDrivenConfig::default());
     let online = run_arm(
         ManagedSessionConfig {
             autocal: Some(calibrator),
