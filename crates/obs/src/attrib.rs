@@ -4,10 +4,10 @@
 //! each observed per-task tick breakdown against the live model's
 //! per-term predictions so a drift or a budget breach can be pinned on
 //! a specific parameter (`t_ua`, `t_aoi`, `t_su`, …) instead of "the
-//! tick got slow". Callers (the sim loop, `roia top`) compute both
-//! vectors — observed seconds per term from `TickSpan.per_task`,
-//! predicted seconds per term from the registry's model — and feed
-//! them to [`AttributionAccumulator::fold`]; the accumulator keeps
+//! tick got slow". The sim loop computes both vectors — observed
+//! seconds per term from `TickSpan.per_task`, predicted seconds per
+//! term from the registry's model — and feeds them to
+//! [`AttributionAccumulator::fold`]; the accumulator keeps
 //! streaming sums plus a log-linear histogram of absolute residuals
 //! per term, and [`AttributionAccumulator::report`] ranks terms by how
 //! much of the total misprediction they carry.

@@ -614,8 +614,8 @@ mod tests {
     use super::*;
 
     /// Every variant once (`Backpressure` in both states) with the exact
-    /// JSON line it encodes to: the byte format `HashSink` digests,
-    /// `explain` and `roia top` depend on.
+    /// JSON line it encodes to: the byte format `HashSink` digests and
+    /// `roia explain` reads.
     fn golden() -> Vec<(TraceEvent, &'static str)> {
         vec![
                 (

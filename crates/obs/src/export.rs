@@ -4,7 +4,7 @@
 //! binaries used to hand-roll emitters per file. This module is the one
 //! canonical copy: [`num`]/[`string`]/[`object`]/[`array()`] build JSON
 //! text, and [`parse_object`] reads back everything this module emits —
-//! scalars, arrays and (since the `roia top` snapshot) nested objects.
+//! scalars, arrays and nested objects (the `roia explain --json` summary).
 
 use std::collections::BTreeMap;
 use std::fmt::Write;

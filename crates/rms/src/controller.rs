@@ -10,7 +10,7 @@
 //! * outcomes missing past a per-action timeout are marked
 //!   [`ActionOutcome::TimedOut`];
 //! * failed/rejected/timed-out scale-ups are retried with exponential
-//!   backoff, at most [`RetryConfig::max_retries`] times;
+//!   backoff, at most [`MAX_RETRIES`] times;
 //! * a replica boot that exhausts its retries escalates to a resource
 //!   substitution ([`ActionOutcome::Escalated`]);
 //! * a substitution that exhausts its retries is abandoned and the
@@ -24,34 +24,26 @@ use crate::actions::{Action, ActionId, ActionLog, ActionOutcome};
 use crate::degraded::{Admission, DegradedConfig, DegradedMode, AOI_FIDELITY};
 use crate::monitor::ZoneSnapshot;
 use crate::policy::Policy;
+use crate::resources::ResourcePool;
 use roia_obs::{TraceEvent, Tracer};
 
-/// Retry/timeout behaviour of the pending-action ledger.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryConfig {
-    /// Ticks an issued action may stay pending before it counts as timed
-    /// out (must exceed the pool's startup delay, or every boot "times
-    /// out" and is double-provisioned).
-    pub action_timeout_ticks: u64,
-    /// How many times a failed scale-up is retried before escalating.
-    pub max_retries: u32,
-    /// Backoff before retry `n` is `backoff_base_ticks << (n - 1)`.
-    pub backoff_base_ticks: u64,
-    /// How long the controller stays in migration-only mode after
-    /// abandoning a substitution.
-    pub degraded_cooldown_ticks: u64,
-}
+/// The least time an issued action may stay pending before it counts as
+/// timed out ([`RmsController::match_pool`] may lengthen it).
+const ACTION_TIMEOUT_TICKS: u64 = 150;
 
-impl Default for RetryConfig {
-    fn default() -> Self {
-        Self {
-            action_timeout_ticks: 150,
-            max_retries: 2,
-            backoff_base_ticks: 50,
-            degraded_cooldown_ticks: 750,
-        }
-    }
-}
+/// How far past the pool's startup delay a boot may still report in
+/// before it counts as timed out.
+const BOOT_SLACK_TICKS: u64 = 100;
+
+/// How many times a failed scale-up is retried before escalating.
+const MAX_RETRIES: u32 = 2;
+
+/// Backoff before retry `n` is `BACKOFF_BASE_TICKS << (n - 1)`.
+const BACKOFF_BASE_TICKS: u64 = 50;
+
+/// How long the controller stays in migration-only mode after
+/// abandoning a substitution.
+const DEGRADED_COOLDOWN_TICKS: u64 = 750;
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,8 +51,6 @@ pub struct ControllerConfig {
     /// Ticks between control rounds (25 ticks at 25 Hz = the 1-second
     /// granularity of the paper's migrations-per-second budgets).
     pub control_interval_ticks: u64,
-    /// Retry/timeout behaviour.
-    pub retry: RetryConfig,
     /// Declared degraded-mode behaviour (admission control + AoI
     /// fidelity when the cloud runs out of capacity).
     pub degraded: DegradedConfig,
@@ -70,7 +60,6 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         Self {
             control_interval_ticks: 25,
-            retry: RetryConfig::default(),
             degraded: DegradedConfig::default(),
         }
     }
@@ -115,6 +104,8 @@ struct QueuedFollowUp {
 pub struct RmsController {
     policy: Box<dyn Policy>,
     config: ControllerConfig,
+    /// Ticks an issued action may stay pending ([`Self::match_pool`]).
+    timeout_ticks: u64,
     log: ActionLog,
     last_round: Option<u64>,
     pending: Vec<PendingAction>,
@@ -130,6 +121,7 @@ impl RmsController {
         Self {
             policy,
             config,
+            timeout_ticks: ACTION_TIMEOUT_TICKS,
             log: ActionLog::new(),
             last_round: None,
             pending: Vec::new(),
@@ -138,6 +130,15 @@ impl RmsController {
             degraded_mode: DegradedMode::new(config.degraded),
             tracer: Tracer::disabled(),
         }
+    }
+
+    /// Fits the action timeout to `pool`: a scale-up must be able to
+    /// boot before it times out, or a slow pool's boots time out and are
+    /// provisioned twice. The timeout is `max(150, delay + 100)` ticks,
+    /// 150 at the testbed pool's 50-tick delay.
+    pub fn match_pool(&mut self, pool: &ResourcePool) {
+        self.timeout_ticks =
+            ACTION_TIMEOUT_TICKS.max(pool.startup_delay_ticks() + BOOT_SLACK_TICKS);
     }
 
     /// Installs a telemetry tracer on the controller and its policy: the
@@ -219,7 +220,7 @@ impl RmsController {
     }
 
     /// Whether a control round is due at `now_tick`.
-    pub fn is_due(&self, now_tick: u64) -> bool {
+    fn is_due(&self, now_tick: u64) -> bool {
         match self.last_round {
             None => true,
             Some(last) => now_tick >= last + self.config.control_interval_ticks,
@@ -365,7 +366,7 @@ impl RmsController {
         self.pending.push(PendingAction {
             id,
             action,
-            deadline: now_tick + self.config.retry.action_timeout_ticks,
+            deadline: now_tick + self.timeout_ticks,
             attempt,
         });
         if self.tracer.is_enabled() {
@@ -397,13 +398,12 @@ impl RmsController {
     /// exponential backoff, then escalation (AddReplica → Substitute),
     /// then graceful degradation.
     fn schedule_follow_up(&mut self, id: ActionId, action: Action, attempt: u32, now_tick: u64) {
-        let retry = &self.config.retry;
         match action {
             // Re-planned from fresh data at the next policy round instead.
             Action::Migrate { .. } | Action::RemoveReplica { .. } => {}
             Action::AddReplica { .. } | Action::Substitute { .. } => {
-                if attempt < retry.max_retries {
-                    let backoff = retry.backoff_base_ticks << attempt;
+                if attempt < MAX_RETRIES {
+                    let backoff = BACKOFF_BASE_TICKS << attempt;
                     self.follow_ups.push(QueuedFollowUp {
                         plan: Planned::Retry(action),
                         not_before: now_tick + backoff,
@@ -416,7 +416,7 @@ impl RmsController {
                     self.trace_resolved(id, ActionOutcome::Escalated, now_tick);
                     self.follow_ups.push(QueuedFollowUp {
                         plan: Planned::SubstituteHottest,
-                        not_before: now_tick + retry.backoff_base_ticks,
+                        not_before: now_tick + BACKOFF_BASE_TICKS,
                         attempt: 0,
                     });
                 } else {
@@ -426,7 +426,7 @@ impl RmsController {
                     // control, reduced fidelity) is open.
                     self.log.resolve(id, ActionOutcome::Abandoned, now_tick);
                     self.trace_resolved(id, ActionOutcome::Abandoned, now_tick);
-                    self.degraded_until = Some(now_tick + retry.degraded_cooldown_ticks);
+                    self.degraded_until = Some(now_tick + DEGRADED_COOLDOWN_TICKS);
                     if self.degraded_mode.force_enter(now_tick) {
                         self.trace_degraded_enter("abandoned", now_tick);
                     }
@@ -528,16 +528,7 @@ mod tests {
 
     #[test]
     fn rejected_action_retries_with_backoff_then_escalates() {
-        let config = ControllerConfig {
-            retry: RetryConfig {
-                action_timeout_ticks: 150,
-                max_retries: 2,
-                backoff_base_ticks: 50,
-                degraded_cooldown_ticks: 750,
-            },
-            ..ControllerConfig::default()
-        };
-        let mut c = RmsController::new(Box::new(Always), config);
+        let mut c = RmsController::new(Box::new(Always), ControllerConfig::default());
         let mut issue_ticks = Vec::new();
         let mut now = 0u64;
         // Reject every add_replica; watch the ledger escalate.
@@ -550,7 +541,7 @@ mod tests {
             }
             now += 25;
         }
-        assert_eq!(issue_ticks.len(), 3, "initial + max_retries attempts");
+        assert_eq!(issue_ticks.len(), 3, "initial + MAX_RETRIES attempts");
         // Backoff is monotone: gaps between consecutive attempts grow.
         let gaps: Vec<u64> = issue_ticks.windows(2).map(|w| w[1] - w[0]).collect();
         assert!(gaps[1] > gaps[0], "exponential backoff: {gaps:?}");
@@ -577,7 +568,7 @@ mod tests {
             "degraded mode drops scale-ups: {during:?}"
         );
         // After the cooldown the controller recovers.
-        let after = now + c.config.retry.degraded_cooldown_ticks + 25;
+        let after = now + DEGRADED_COOLDOWN_TICKS + 25;
         assert!(!c.is_degraded(after));
         assert!(!c.control(&snapshot(), after).is_empty());
     }
@@ -637,5 +628,29 @@ mod tests {
             c.log().get(issued[0].id).unwrap().outcome,
             ActionOutcome::TimedOut
         );
+    }
+
+    #[test]
+    fn a_slow_pool_lengthens_the_timeout_past_its_boot_delay() {
+        for (delay, timeout) in [(0, 150), (50, 150), (200, 300)] {
+            let mut c = RmsController::new(Box::new(Always), ControllerConfig::default());
+            c.match_pool(&ResourcePool::new(4, 0, delay, 90_000));
+            let issued = c.control(&snapshot(), 0);
+            // The round before the deadline leaves the boot pending.
+            let last_round = (timeout - 1) / 25 * 25;
+            c.control(&snapshot(), last_round);
+            assert_eq!(
+                c.pending_count(),
+                1,
+                "delay {delay}: pending at {last_round}"
+            );
+            c.control(&snapshot(), last_round + 25);
+            assert_eq!(
+                c.log().get(issued[0].id).unwrap().outcome,
+                ActionOutcome::TimedOut,
+                "delay {delay}: timed out by {}",
+                last_round + 25
+            );
+        }
     }
 }

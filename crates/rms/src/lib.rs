@@ -24,7 +24,7 @@ mod policy;
 mod resources;
 
 pub use actions::{Action, ActionId, ActionLog, ActionOutcome, LoggedAction};
-pub use controller::{ControllerConfig, IssuedAction, RetryConfig, RmsController};
+pub use controller::{ControllerConfig, IssuedAction, RmsController};
 pub use degraded::{Admission, AdmissionMode, DegradedConfig};
 pub use monitor::{ServerSnapshot, ZoneSnapshot};
 pub use policy::{ModelDriven, ModelDrivenConfig, Policy, StaticInterval, StaticThreshold};

@@ -144,6 +144,11 @@ impl ResourcePool {
         Self::new(16, 2, 50, 90_000)
     }
 
+    /// Ticks from a request to its machine being ready.
+    pub(crate) fn startup_delay_ticks(&self) -> u64 {
+        self.startup_delay_ticks
+    }
+
     /// Makes each future request fail its boot with probability `rate`,
     /// sampled deterministically from `seed`. Leases already placed keep
     /// the fate they were assigned at request time.

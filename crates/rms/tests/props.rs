@@ -9,8 +9,8 @@ use roia_rng::{check, Rng, Xoshiro256pp};
 use rtf_core::net::NodeId;
 use rtf_core::zone::ZoneId;
 use rtf_rms::{
-    Action, ActionOutcome, ControllerConfig, ModelDriven, ModelDrivenConfig, Policy, RetryConfig,
-    RmsController, ServerSnapshot, StaticInterval, StaticThreshold, ZoneSnapshot,
+    Action, ActionOutcome, ControllerConfig, ModelDriven, ModelDrivenConfig, Policy, RmsController,
+    ServerSnapshot, StaticInterval, StaticThreshold, ZoneSnapshot,
 };
 
 fn model() -> ScalabilityModel {
@@ -186,38 +186,43 @@ fn static_interval_fully_equalizes() {
     });
 }
 
+/// The controller's retry budget: a failed scale-up is retried twice.
+const MAX_RETRIES: u32 = 2;
+
 #[test]
 fn retry_ledger_bounds_attempts_and_backoff_is_monotone() {
     check(96, |rng| {
-        let max_retries = rng.gen_range(0u32..4);
-        let backoff = rng.gen_range(1u64..100);
         let config = ControllerConfig {
-            retry: RetryConfig {
-                action_timeout_ticks: 10_000,
-                max_retries,
-                backoff_base_ticks: backoff,
-                degraded_cooldown_ticks: 100_000, // one escalation chain only
-            },
+            control_interval_ticks: rng.gen_range(1u64..50),
             ..ControllerConfig::default()
         };
+        // Each attempt is refused, fails to boot, or never reports back.
+        let outcome = [
+            Some(ActionOutcome::Rejected),
+            Some(ActionOutcome::Failed),
+            None,
+        ][rng.gen_range(0usize..3)];
         let mut c = RmsController::new(Box::new(AlwaysGrow), config);
         let snapshot = grow_snapshot();
-        // Fail everything the controller issues until it gives up.
+        // Fail everything the controller issues until it gives up: one
+        // escalation chain, ended by abandonment.
         let mut now = 0u64;
-        for _ in 0..400 {
+        while !c.is_degraded(now) && now < 100_000 {
             for issued in c.control(&snapshot, now) {
-                c.report(issued.id, ActionOutcome::Failed, now);
+                if let Some(outcome) = outcome {
+                    c.report(issued.id, outcome, now);
+                }
             }
             now += 5;
         }
 
         let entries = c.log().entries();
         assert!(!entries.is_empty());
-        // No action is ever retried past the configured budget.
+        // No action is ever retried past the budget.
         for e in entries {
             assert!(
-                e.attempt <= max_retries,
-                "attempt {} exceeds max_retries {max_retries}",
+                e.attempt <= MAX_RETRIES,
+                "attempt {} exceeds the retry budget",
                 e.attempt
             );
         }

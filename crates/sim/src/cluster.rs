@@ -380,9 +380,11 @@ impl Cluster {
         cluster
     }
 
-    /// Attaches an RTF-RMS controller.
+    /// Attaches an RTF-RMS controller, its action timeout fitted to the
+    /// cluster's pool ([`RmsController::match_pool`]).
     pub fn set_controller(&mut self, policy: Box<dyn Policy>, config: ControllerConfig) {
         let mut controller = RmsController::new(policy, config);
+        controller.match_pool(&self.pool);
         if self.tracer.is_enabled() {
             controller.set_tracer(self.tracer.clone());
         }

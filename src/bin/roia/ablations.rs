@@ -108,7 +108,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             ("peak_servers", json::uint(r.peak_servers as u64)),
         ]));
     }
-    println!("(slower clouds need earlier triggers — delay eats the 20 % headroom)\n");
+    println!("(a scale-up times out after max(150, delay + 100) ticks, so no boot is redone)\n");
 
     println!("=== Ablation 4: measurement noise vs calibrated capacity ===");
     println!("{:>7} {:>10} {:>9}", "noise", "n_max(1)", "l_max");

@@ -4,8 +4,8 @@
 //! measure and fit the per-task costs (`fig4`, `fig6`, `calibrate`),
 //! derive the thresholds (`fig5`, `fig7`, `thresholds`, `plan`, `fig2`),
 //! then manage sessions under U (`fig8`, `session`, `policy_compare`,
-//! `chaos_session`, `scenarios`, …). Beside them sit the trace tools
-//! (`explain`, `top`) and the engine harnesses (`scale`, `netdemo`,
+//! `chaos_session`, `scenarios`, …). Beside them sit the trace reader
+//! (`explain`) and the engine harnesses (`scale`, `netdemo`,
 //! `schedule_stress`). `roia help` lists every subcommand; `roia <sub>
 //! --help` prints its flags.
 //!
@@ -31,7 +31,6 @@ mod recalibration;
 mod scale;
 mod scenarios;
 mod schedule_stress;
-mod top;
 mod traffic;
 
 use roia_model::Calibration;
@@ -44,77 +43,60 @@ use rtf_rms::{ModelDriven, ModelDrivenConfig, Policy, StaticInterval, StaticThre
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// A flag and the placeholder of its value (empty for a switch).
+/// A flag and the placeholder of its value.
 type Flag = (&'static str, &'static str);
 
 /// A subcommand's entry point.
 type Run = fn(&Args) -> Result<(), String>;
 
-/// Flags of every figure, session and harness subcommand, parsed into
-/// the typed fields of [`Args`].
-const COMMON: &[Flag] = &[
-    ("--seed", "N"),
-    ("--ticks", "N"),
-    ("--plan", "NAME"),
-    ("--json", "PATH"),
-    ("--trace", "PATH"),
-    ("--metrics", "PATH"),
-    ("--flight", "DIR"),
-];
+// The flags several subcommands read, parsed into the typed fields of
+// [`Args`], and the sets of them a subcommand reads.
+const SEED: Flag = ("--seed", "N");
+const TICKS: Flag = ("--ticks", "N");
+const PLAN: Flag = ("--plan", "NAME");
+const JSON: Flag = ("--json", "PATH");
+const TRACE: Flag = ("--trace", "PATH");
+const METRICS: Flag = ("--metrics", "PATH");
+const FLIGHT: Flag = ("--flight", "DIR");
+const FIGURE: &[Flag] = &[SEED, JSON];
+const SESSION: &[Flag] = &[SEED, TICKS, JSON];
+const TRACED: &[Flag] = &[SEED, TICKS, JSON, TRACE, METRICS];
+const CHAOS: &[Flag] = &[SEED, PLAN, TICKS, JSON, TRACE, METRICS, FLIGHT];
 
 /// One row of the dispatch table.
 struct Command {
     name: &'static str,
     about: &'static str,
-    /// Takes the [`COMMON`] flags.
-    common: bool,
+    /// The shared flags the subcommand reads.
+    shared: &'static [Flag],
     /// The subcommand's own flags, read back through [`Args::value`].
-    extra: &'static [Flag],
+    own: &'static [Flag],
     /// Placeholder of the one positional argument, if it takes one.
     positional: Option<&'static str>,
     run: Run,
 }
 
 impl Command {
-    /// A subcommand taking the [`COMMON`] flags plus `extra`.
-    const fn common(
+    const fn new(
         name: &'static str,
         about: &'static str,
-        extra: &'static [Flag],
+        shared: &'static [Flag],
+        own: &'static [Flag],
         run: Run,
     ) -> Self {
         Self {
             name,
             about,
-            common: true,
-            extra,
+            shared,
+            own,
             positional: None,
             run,
         }
     }
 
-    /// A subcommand taking only its own flags.
-    const fn own(
-        name: &'static str,
-        about: &'static str,
-        extra: &'static [Flag],
-        positional: Option<&'static str>,
-        run: Run,
-    ) -> Self {
-        Self {
-            name,
-            about,
-            common: false,
-            extra,
-            positional,
-            run,
-        }
-    }
-
-    /// Every flag the subcommand takes.
+    /// Every flag the subcommand reads; any other is refused.
     fn flags(&self) -> impl Iterator<Item = &'static Flag> {
-        let common = if self.common { COMMON } else { &[] };
-        common.iter().chain(self.extra)
+        self.shared.iter().chain(self.own)
     }
 
     fn usage(&self) -> String {
@@ -123,41 +105,40 @@ impl Command {
             line.push_str(&format!(" {p}"));
         }
         for (flag, value) in self.flags() {
-            match *value {
-                "" => line.push_str(&format!(" [{flag}]")),
-                v => line.push_str(&format!(" [{flag} {v}]")),
-            }
+            line.push_str(&format!(" [{flag} {value}]"));
         }
         format!("{line}\n\n{}", self.about)
     }
 }
 
-/// The dispatch table, in `roia help` order. A module's `FLAGS` are the
-/// flags it reads beyond [`COMMON`].
+/// The dispatch table, in `roia help` order: each row names the shared
+/// flags its module reads and the module's own `FLAGS`.
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
-    Command::common("fig2", "Fig. 2: Listing-1 migration in budget-limited rounds", &[], fig2::run),
-    Command::common("fig4", "Fig. 4: fitted per-task cost functions", &[], fig4::run),
-    Command::common("fig5", "Fig. 5: users vs replicas, trigger, l_max", &[], fig5::run),
-    Command::common("fig6", "Fig. 6: fitted migration cost functions", &[], fig6::run),
-    Command::common("fig7", "Fig. 7: migration budgets vs tick duration", &[], fig7::run),
-    Command::common("fig8", "Fig. 8: the managed 300-user session", &[], fig8::run),
-    Command::common("policy_compare", "the Fig. 8 session under three policies", &[], policy_compare::run),
-    Command::common("chaos_session", "the Fig. 8 session under fault plans", &[], chaos_session::run),
-    Command::own("explain", "replay a JSONL trace as a timeline", explain::FLAGS, Some("TRACE.jsonl"), explain::run),
-    Command::own("top", "operations console over a JSONL trace", top::FLAGS, Some("TRACE.jsonl"), top::run),
-    Command::common("scale", "session size x worker threads throughput", scale::FLAGS, scale::run),
-    Command::common("netdemo", "socket bots over TCP, egress vs Eq. (1)", netdemo::FLAGS, netdemo::run),
-    Command::common("scenarios", "adversarial scenario leaderboard", scenarios::FLAGS, scenarios::run),
-    Command::common("schedule_stress", "digests under permuted schedules", schedule_stress::FLAGS, schedule_stress::run),
-    Command::common("recalibration", "frozen vs online calibration", recalibration::FLAGS, recalibration::run),
-    Command::common("ablations", "trigger, c, boot-delay and noise sweeps", &[], ablations::run),
-    Command::common("overprovision", "static provisioning vs the managed session", &[], overprovision::run),
-    Command::common("traffic", "bandwidth model and bandwidth-bound capacity", &[], traffic::run),
-    Command::own("calibrate", "run the bot campaign, write the model", provider::CALIBRATE, None, provider::calibrate),
-    Command::own("thresholds", "capacity ladder and l_max of a model", provider::THRESHOLDS, None, provider::thresholds),
-    Command::own("plan", "Listing-1 rounds for a user distribution", provider::PLAN, None, provider::plan),
-    Command::own("session", "a managed session under one policy", provider::SESSION, None, provider::session),
+    Command::new("fig2", "Fig. 2: Listing-1 migration in budget-limited rounds", FIGURE, &[], fig2::run),
+    Command::new("fig4", "Fig. 4: fitted per-task cost functions", FIGURE, &[], fig4::run),
+    Command::new("fig5", "Fig. 5: users vs replicas, trigger, l_max", FIGURE, &[], fig5::run),
+    Command::new("fig6", "Fig. 6: fitted migration cost functions", FIGURE, &[], fig6::run),
+    Command::new("fig7", "Fig. 7: migration budgets vs tick duration", FIGURE, &[], fig7::run),
+    Command::new("fig8", "Fig. 8: the managed 300-user session", TRACED, &[], fig8::run),
+    Command::new("policy_compare", "the Fig. 8 session under three policies", SESSION, &[], policy_compare::run),
+    Command::new("chaos_session", "the Fig. 8 session under fault plans", CHAOS, &[], chaos_session::run),
+    Command {
+        positional: Some("TRACE.jsonl"),
+        ..Command::new("explain", "replay a JSONL trace: timeline, latency, attribution, SLOs", &[TICKS, JSON], explain::FLAGS, explain::run)
+    },
+    Command::new("scale", "session size x worker threads throughput", SESSION, scale::FLAGS, scale::run),
+    Command::new("netdemo", "socket bots over TCP, egress vs Eq. (1)", TRACED, netdemo::FLAGS, netdemo::run),
+    Command::new("scenarios", "adversarial scenario leaderboard", SESSION, scenarios::FLAGS, scenarios::run),
+    Command::new("schedule_stress", "digests under permuted schedules", SESSION, schedule_stress::FLAGS, schedule_stress::run),
+    Command::new("recalibration", "frozen vs online calibration", TRACED, recalibration::FLAGS, recalibration::run),
+    Command::new("ablations", "trigger, c, boot-delay and noise sweeps", SESSION, &[], ablations::run),
+    Command::new("overprovision", "static provisioning vs the managed session", SESSION, &[], overprovision::run),
+    Command::new("traffic", "bandwidth model and bandwidth-bound capacity", SESSION, &[], traffic::run),
+    Command::new("calibrate", "run the bot campaign, write the model", &[], provider::CALIBRATE, provider::calibrate),
+    Command::new("thresholds", "capacity ladder and l_max of a model", &[], provider::THRESHOLDS, provider::thresholds),
+    Command::new("plan", "Listing-1 rounds for a user distribution", &[], provider::PLAN, provider::plan),
+    Command::new("session", "a managed session under one policy", &[], provider::SESSION, provider::session),
 ];
 
 fn usage() -> String {
@@ -206,8 +187,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// A parsed command line: the [`COMMON`] flags typed, the subcommand's
-/// own flags as given.
+/// A parsed command line: the shared flags typed, the subcommand's own
+/// flags as given.
 #[derive(Default)]
 struct Args {
     /// `--seed N`: RNG seed of the session/campaign.
@@ -224,9 +205,9 @@ struct Args {
     metrics: Option<PathBuf>,
     /// `--flight DIR`: flight-recorder postmortem bundle directory.
     flight: Option<PathBuf>,
-    /// The positional argument (`explain`'s and `top`'s trace file).
+    /// The positional argument (`explain`'s trace file).
     positional: Option<String>,
-    /// The subcommand's own flags in order; switches carry "".
+    /// The subcommand's own flags in order.
     extra: Vec<(&'static str, String)>,
 }
 
@@ -246,11 +227,6 @@ impl Args {
             .iter()
             .filter(move |(f, _)| *f == flag)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether the switch `flag` was given.
-    fn switch(&self, flag: &str) -> bool {
-        self.value(flag).is_some()
     }
 
     /// `flag`'s value parsed, `None` when it was not given.
@@ -273,21 +249,14 @@ fn parse(cmd: &Command, argv: &[String]) -> Result<Args, String> {
             args.positional = Some(arg.clone());
             continue;
         }
-        let &(flag, placeholder) = cmd
+        let &(flag, _) = cmd
             .flags()
             .find(|(f, _)| f == arg)
             .ok_or_else(|| format!("unknown flag {arg}"))?;
-        let value = match placeholder {
-            "" => String::new(),
-            _ => it
-                .next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))?,
-        };
-        if cmd.extra.iter().any(|(f, _)| *f == flag) {
-            args.extra.push((flag, value));
-            continue;
-        }
+        let value = it
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"))?;
         let number = |v: &str| {
             v.parse::<u64>()
                 .map_err(|_| format!("{flag} needs a numeric value"))
@@ -299,7 +268,8 @@ fn parse(cmd: &Command, argv: &[String]) -> Result<Args, String> {
             "--json" => args.json = Some(value.into()),
             "--trace" => args.trace = Some(value.into()),
             "--metrics" => args.metrics = Some(value.into()),
-            _ => args.flight = Some(value.into()),
+            "--flight" => args.flight = Some(value.into()),
+            _ => args.extra.push((flag, value)),
         }
     }
     if let (Some(p), None) = (cmd.positional, &args.positional) {

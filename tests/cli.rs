@@ -17,7 +17,6 @@ const SUBCOMMANDS: &[&str] = &[
     "policy_compare",
     "chaos_session",
     "explain",
-    "top",
     "scale",
     "netdemo",
     "scenarios",
@@ -70,6 +69,22 @@ fn malformed_command_lines_exit_2_with_an_error_and_usage() {
         (&["fig2", "--seed"][..], "--seed needs a value"),
         (&["fig2", "--seed", "x"][..], "--seed needs a numeric value"),
         (&["scale", "--threads"][..], "--threads needs a value"),
+        // A subcommand refuses a shared flag it does not read.
+        (&["fig5", "--trace", "t.jsonl"][..], "unknown flag --trace"),
+        (&["fig2", "--ticks", "10"][..], "unknown flag --ticks"),
+        (
+            &["scenarios", "--plan", "hostile"][..],
+            "unknown flag --plan",
+        ),
+        (
+            &["policy_compare", "--metrics", "m.prom"][..],
+            "unknown flag --metrics",
+        ),
+        (&["fig8", "--flight", "dir"][..], "unknown flag --flight"),
+        (
+            &["explain", "t.jsonl", "--seed", "1"][..],
+            "unknown flag --seed",
+        ),
         // The model-file subcommands take only their own flags.
         (&["thresholds", "--seed", "1"][..], "unknown flag --seed"),
         (&["explain"][..], "no TRACE.jsonl given"),

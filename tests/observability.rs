@@ -263,10 +263,17 @@ fn flash_crowd_session(
 #[test]
 fn flash_crowd_fires_tick_budget_burn_and_recovers() {
     let model = model();
-    let (tracer, ring) = Tracer::ring(1 << 20);
+    let trace = scratch("flash_crowd.jsonl");
+    let tracer = Tracer::jsonl(&trace).expect("trace file opens");
     let (report, crowd_start, crowd_end) = flash_crowd_session(&model, tracer, None);
 
-    let events: Vec<TraceEvent> = ring.lock().unwrap().drain();
+    let trace_text = std::fs::read_to_string(&trace).expect("trace written");
+    assert_explain_replays_the_span_slos(&trace, &trace_text);
+    let _ = std::fs::remove_file(&trace);
+    let events: Vec<TraceEvent> = trace_text
+        .lines()
+        .map(|line| TraceEvent::from_json(line).expect("every line decodes"))
+        .collect();
     let burns: Vec<(u64, u64, &str)> = events
         .iter()
         .filter_map(|e| match e {
@@ -309,8 +316,9 @@ fn flash_crowd_fires_tick_budget_burn_and_recovers() {
 
     // Per-term attribution was live (a reference model is attached) and
     // its observed side is complete: summed per-term seconds equal the
-    // total simulated busy time within 1 % (the `roia top` acceptance
-    // bound; the sim charges no work outside the nine model terms).
+    // total simulated busy time within 1 % (the bound `roia explain`
+    // holds a trace's spans to; the sim charges no work outside the nine
+    // model terms).
     let observed: f64 = report.attribution.iter().map(|t| t.observed_s).sum();
     let busy_us = report
         .metrics
@@ -328,6 +336,106 @@ fn flash_crowd_fires_tick_budget_burn_and_recovers() {
         report.attribution.iter().any(|t| t.samples > 0),
         "residual accumulators saw samples"
     );
+}
+
+/// The `(ev, tick, slo, severity)` of a `tick_budget` or `tick_p99`
+/// transition; `severity` is empty for a recovery.
+type SpanSloTransition = (String, u64, String, String);
+
+/// Runs `roia explain --json` over the JSONL trace at `trace` (whose
+/// text is `trace_text`) and checks its summary: no malformed line,
+/// coverage within 1 %, all five objectives, and the replay of
+/// `tick_budget`/`tick_p99` from the tick spans burning and recovering
+/// exactly where the trace's own events say the live engine did.
+fn assert_explain_replays_the_span_slos(trace: &Path, trace_text: &str) {
+    let summary = scratch("explain_summary.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_roia"))
+        .arg("explain")
+        .arg(trace)
+        .arg("--json")
+        .arg(&summary)
+        .output()
+        .expect("run roia explain");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let summary_text = std::fs::read_to_string(&summary).expect("summary written");
+    let _ = std::fs::remove_file(&summary);
+    let doc = roia::obs::export::parse_object(summary_text.trim()).expect("summary parses");
+    assert_eq!(doc["malformed"].as_u64(), Some(0), "{summary_text}");
+    let coverage = doc["coverage"].as_f64().expect("coverage");
+    assert!((coverage - 1.0).abs() <= 0.01, "coverage {coverage}");
+    let rows: Vec<_> = doc["slo"]
+        .as_arr()
+        .expect("slo rows")
+        .iter()
+        .map(|row| row.as_obj().expect("slo row"))
+        .collect();
+    let names: Vec<_> = rows.iter().map(|row| row["slo"].as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "tick_budget",
+            "tick_p99",
+            "invariant_violations",
+            "join_shed",
+            "backpressure_duty"
+        ]
+        .map(Some)
+    );
+
+    let span_slo = |slo: &str| slo == "tick_budget" || slo == "tick_p99";
+    let mut traced: Vec<SpanSloTransition> = trace_text
+        .lines()
+        .filter_map(TraceEvent::from_json)
+        .filter_map(|ev| match ev {
+            TraceEvent::SloBurn {
+                tick,
+                slo,
+                severity,
+                ..
+            } => Some((
+                "slo_burn".to_string(),
+                tick,
+                slo.to_string(),
+                severity.to_string(),
+            )),
+            TraceEvent::SloRecovered { tick, slo, .. } => Some((
+                "slo_recovered".to_string(),
+                tick,
+                slo.to_string(),
+                String::new(),
+            )),
+            _ => None,
+        })
+        .filter(|(_, _, slo, _)| span_slo(slo))
+        .collect();
+    let mut replayed: Vec<SpanSloTransition> = rows
+        .iter()
+        .filter(|row| row["source"].as_str() == Some("replay"))
+        .flat_map(|row| row["transitions"].as_arr().expect("transitions"))
+        .map(|tr| {
+            let tr = tr.as_obj().expect("transition object");
+            let text = |key: &str| tr.get(key).and_then(|v| v.as_str()).unwrap_or_default();
+            (
+                text("ev").to_string(),
+                tr["tick"].as_u64().expect("tick"),
+                text("slo").to_string(),
+                text("severity").to_string(),
+            )
+        })
+        .collect();
+    traced.sort();
+    replayed.sort();
+    assert!(
+        traced
+            .iter()
+            .any(|(ev, _, slo, _)| ev == "slo_burn" && slo == "tick_budget"),
+        "the crowd burns the tick budget: {traced:?}"
+    );
+    assert_eq!(replayed, traced, "replayed vs the trace's own verdicts");
 }
 
 /// Bundle files a postmortem dump must produce.
@@ -392,9 +500,9 @@ fn postmortem_bundles_round_trip_and_are_deterministic() {
         assert_eq!(a, b, "{file} must be byte-identical across reruns");
     }
 
-    // The bundle round-trips through the same parsers `roia explain` and
-    // `roia top` use: every ring line decodes, the manifest and metrics
-    // parse, and the manifest agrees with the ring contents.
+    // The bundle round-trips through the same parsers `roia explain`
+    // uses: every ring line decodes, the manifest and metrics parse, and
+    // the manifest agrees with the ring contents.
     let events_text = std::fs::read_to_string(bundle.join("events.jsonl")).unwrap();
     let mut ring_events = 0_u64;
     for line in events_text.lines() {
