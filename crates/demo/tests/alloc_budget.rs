@@ -1,14 +1,20 @@
 //! Steady-state allocation budgets of one lock-step round.
 //!
-//! A tick has to allocate one buffer per frame it sends — the frame
-//! outlives the tick in the receiver's inbox. Everything else (receive
-//! buffers, decoded envelopes, the interest table, encode scratch, the
-//! bus's link queues, inboxes and pending list) is reused from tick to
-//! tick: the server ticks allocate no more buffers than they send frames,
-//! a bot client allocates its payload and its frame, and the bus's flush
-//! allocates nothing. This file is its own test binary because it installs
-//! a counting global allocator; the counters are per thread, so the tests
-//! may run in parallel.
+//! Nothing a round touches is allocated per frame or per message once the
+//! group has warmed up: receive buffers, decoded envelopes, the interest
+//! table and encode scratch keep their capacity, every writer reuses the
+//! storage of the frames its receivers have dropped, and the bus keeps one
+//! mail arena and no per-link queues. What still allocates is growth: a
+//! server's frame stock makes a frame when more frames of about one size
+//! are out at once than it holds (it gives back frames no hand-out needed
+//! over its horizon, so a later peak may make them again), and a bot's
+//! target list grows when it sees more targets than ever before. In this
+//! group that is a few allocations in some rounds and none in most, against
+//! ≈ 550 frames and 400 bot ticks a round, so each test counts every round
+//! from the end of a 50-round warm-up to round 1 000 and bounds the total.
+//! The bus's flush allocates nothing at all. This file is its own test
+//! binary because it installs a counting global allocator; the counters
+//! are per thread, so the tests may run in parallel.
 
 use rtf_core::client::Client;
 use rtf_core::zone::ZoneId;
@@ -66,11 +72,14 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Allocations a whole client phase may make beyond a payload and a frame
-/// per client: now and then a bot sees more targets than ever before and
-/// its reused target list grows.
-const SLACK_PER_CLIENT_PHASE: u64 = 4;
-
+/// Rounds before the measured ones.
+const WARMUP_ROUNDS: usize = 50;
+/// Rounds measured after the warm-up: up to round 1 000.
+const MEASURED_ROUNDS: usize = 950;
+/// Allocations all measured rounds together may make in one phase: one per
+/// ten rounds. In rounds 51–1 000 the server ticks made 45 (for ≈ 520 000
+/// frames) and the bot clients 44 (for 380 000 client ticks).
+const GROWTH_BUDGET: u64 = (MEASURED_ROUNDS / 10) as u64;
 const REPLICAS: usize = 4;
 const USERS: u64 = 400;
 
@@ -128,7 +137,7 @@ impl Group {
             clients,
             tick: 0,
         };
-        for _ in 0..50 {
+        for _ in 0..WARMUP_ROUNDS {
             group.round();
         }
         group
@@ -167,13 +176,11 @@ impl Group {
     }
 }
 
-/// A server tick allocates one buffer per frame, and its replica update is
-/// one frame however many peers it goes to — which leaves room for the
-/// reference count the `bytes` crate allocates on that frame's first clone.
 #[test]
-fn server_tick_allocates_little_beyond_its_frames() {
+fn server_ticks_allocate_only_to_grow() {
     let mut group = Group::new();
-    for _ in 0..20 {
+    let mut total = 0;
+    for _ in 0..MEASURED_ROUNDS {
         let Round {
             servers, frames, ..
         } = group.round();
@@ -181,26 +188,31 @@ fn server_tick_allocates_little_beyond_its_frames() {
             servers <= frames,
             "{servers} allocations for {frames} frames"
         );
+        total += servers;
     }
+    assert!(
+        total <= GROWTH_BUDGET,
+        "server ticks made {total} allocations in {MEASURED_ROUNDS} rounds"
+    );
 }
 
 #[test]
-fn bot_client_allocates_its_payload_and_its_frame() {
+fn bot_clients_allocate_only_to_grow() {
     let mut group = Group::new();
-    for _ in 0..20 {
-        let clients = group.round().clients;
-        let budget = 2 * USERS + SLACK_PER_CLIENT_PHASE;
-        assert!(
-            clients <= budget,
-            "{clients} allocations for {USERS} bot clients (budget {budget})"
-        );
+    let mut total = 0;
+    for _ in 0..MEASURED_ROUNDS {
+        total += group.round().clients;
     }
+    assert!(
+        total <= GROWTH_BUDGET,
+        "{USERS} bot clients made {total} allocations in {MEASURED_ROUNDS} rounds"
+    );
 }
 
 #[test]
 fn resume_delivery_allocates_nothing() {
     let mut group = Group::new();
-    for _ in 0..20 {
+    for _ in 0..MEASURED_ROUNDS {
         assert_eq!(group.round().flushes, 0);
     }
 }

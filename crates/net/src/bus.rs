@@ -10,29 +10,34 @@
 //!
 //! A lock-step driver that ticks nodes concurrently instead calls
 //! [`Bus::pause_delivery`] before the phase and [`Bus::resume_delivery`]
-//! after it: while paused, sends stage per-link (preserving each sender's
-//! program order) and nothing reaches an inbox; `resume_delivery` then
-//! flushes the staged links in ascending `(from, to)` key order. Because
-//! every directed link has exactly one sender, the resulting inbox order is
-//! a pure function of the traffic itself — independent of thread
+//! after it: while paused, sends are staged and nothing reaches an inbox;
+//! `resume_delivery` then delivers as if it flushed every link in
+//! ascending `(from, to)` key order, each in its sender's program order.
+//! Because every directed link has exactly one sender, the resulting inbox
+//! order is a pure function of the traffic itself — independent of thread
 //! interleaving — which is what makes a parallel tick byte-identical to a
 //! serial one.
 //!
-//! The state is one table of node rows sorted by id. Ids are handed out in
-//! ascending order and never reused, so `register` appends and a lookup is
-//! a binary search. A row owns the node's inbox and its outgoing links,
-//! sorted by destination; a departed node's row stays only while its
-//! outgoing links still carry traffic. A link that starts carrying traffic
-//! puts its key on a pending list once; a flush sorts that list and drains
-//! each link straight into its destination's inbox. Once the queues have
-//! grown, neither a send nor a flush allocates.
+//! The state is a table of node rows. A row's slot is fixed while its node
+//! is on the bus, and the [`Endpoint`] remembers it, so neither a send nor
+//! a drain searches the table; a departed node's slot is reused, so the
+//! table does not grow with departed ids. A row owns its node's outgoing
+//! links, sorted by destination, and each link remembers its destination's
+//! slot. Messages waiting for their receivers sit in one bus-wide arena as
+//! a list per receiver, so a node's inbox is held once, in the arena, and
+//! costs nothing when empty. A paused send appends to its destination's
+//! staged list; the flush orders each staged list by sender (stably, so
+//! each link keeps its program order) and splices it onto the inbox. A
+//! link holds a queue only while jitter holds traffic back. Once the arena
+//! and the flush's scratch buffers have grown, neither a send, a drain nor
+//! a flush allocates.
 
-// lint: allow-file(hot_lock, "the coarse bus mutex is the simulated network itself: every critical section is a short queue push/pop with no I/O or allocation bursts, and the pause/resume staging protocol is what gives parallel ticks their deterministic delivery order")
-use crate::link::{Faults, LinkState};
-use crate::{Bytes, NodeId};
+// lint: allow-file(hot_lock, "the coarse bus mutex is the simulated network itself: every critical section is a short list push/pop with no I/O or allocation bursts, and the pause/resume staging protocol is what gives parallel ticks their deterministic delivery order")
+use crate::link::{Admitted, Faults, Link};
+use crate::{Bytes, FramePool, NodeId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A delivered network message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,85 +70,202 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// A registered node, or a departed one whose links still carry traffic.
-struct NodeRow {
+/// The end of a mail list.
+const NIL: u32 = u32::MAX;
+
+/// One message waiting in the arena: a node of its receiver's list.
+struct Mail {
+    next: u32,
+    from: NodeId,
+    /// `None` while the node is on the free list.
+    payload: Option<Bytes>,
+}
+
+/// A singly linked list of arena nodes, oldest first.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn is_empty(&self) -> bool {
+        self.head == NIL
+    }
+}
+
+/// Every message waiting for its receiver, as one list per receiver.
+/// Freed nodes are kept on a free list and reused.
+#[derive(Default)]
+struct Arena {
+    nodes: Vec<Mail>,
+    free: Option<u32>,
+}
+
+impl Arena {
+    /// Appends a message to `list`.
+    fn push(&mut self, list: &mut List, from: NodeId, payload: Bytes) {
+        let at = match self.free {
+            Some(at) => {
+                let node = self.nodes.get_mut(at as usize);
+                self.free = node
+                    .as_ref()
+                    .and_then(|n| (n.next != NIL).then_some(n.next));
+                if let Some(node) = node {
+                    *node = Mail {
+                        next: NIL,
+                        from,
+                        payload: Some(payload),
+                    };
+                }
+                at
+            }
+            None => {
+                grow(&mut self.nodes);
+                self.nodes.push(Mail {
+                    next: NIL,
+                    from,
+                    payload: Some(payload),
+                });
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.link_after(list, at);
+    }
+
+    /// Makes node `at` the new tail of `list`.
+    fn link_after(&mut self, list: &mut List, at: u32) {
+        match self.nodes.get_mut(list.tail as usize) {
+            Some(tail) => tail.next = at,
+            None => list.head = at,
+        }
+        list.tail = at;
+    }
+
+    /// Takes the oldest message off `list`.
+    fn pop(&mut self, list: &mut List) -> Option<(NodeId, Bytes)> {
+        let at = list.head;
+        let node = self.nodes.get_mut(at as usize)?;
+        list.head = node.next;
+        if list.head == NIL {
+            list.tail = NIL;
+        }
+        node.next = self.free.unwrap_or(NIL);
+        self.free = Some(at);
+        Some((node.from, node.payload.take()?))
+    }
+
+    /// Drops every message on `list`.
+    fn clear(&mut self, list: &mut List) {
+        while self.pop(list).is_some() {}
+    }
+
+    /// Moves every message of `src` to the end of `dst`.
+    fn splice(&mut self, dst: &mut List, src: &mut List) {
+        if src.is_empty() {
+            return;
+        }
+        match self.nodes.get_mut(dst.tail as usize) {
+            Some(tail) => tail.next = src.head,
+            None => dst.head = src.head,
+        }
+        dst.tail = src.tail;
+        *src = List::EMPTY;
+    }
+
+    /// The messages of `list`, oldest first.
+    fn iter(&self, list: List) -> impl Iterator<Item = &Mail> + '_ {
+        let mut at = list.head;
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(at as usize)?;
+            at = node.next;
+            Some(node)
+        })
+    }
+}
+
+/// Whether a row's node is on the bus.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Presence {
+    /// Registered.
+    Live,
+    /// Unregistered; the row stays while its links carry traffic.
+    Departed,
+    /// An empty slot, waiting for the next registration.
+    Free,
+}
+
+/// A node's row: its inbox, what a paused phase staged for it, and its
+/// outgoing links.
+struct Row {
     id: NodeId,
-    /// Delivered messages the endpoint has not yet received; `None` once
-    /// the node has unregistered.
-    inbox: Option<VecDeque<Message>>,
+    presence: Presence,
+    /// Delivered messages the endpoint has not received yet.
+    inbox: List,
+    /// Messages staged for this node in a paused phase, in send order.
+    staged: List,
     /// Outgoing links, sorted by destination.
     links: Vec<Link>,
 }
 
-/// A directed link, kept in its sender's row.
-struct Link {
-    to: NodeId,
-    /// Whether the link's key is on [`BusInner::pending`].
-    listed: bool,
-    state: LinkState,
-}
-
-impl NodeRow {
-    /// Index of the link to `to`, created by `make` if there is none. A
-    /// row's first link gets exactly one slot, since most rows are
-    /// clients' rows with one link; later links grow the row as a `Vec`
-    /// does.
-    fn link_to(&mut self, to: NodeId, make: impl FnOnce() -> LinkState) -> usize {
-        match self.links.binary_search_by_key(&to, |l| l.to) {
-            Ok(k) => k,
-            Err(k) => {
-                let state = make();
-                if self.links.capacity() == 0 {
-                    self.links.reserve_exact(1);
-                }
-                self.links.insert(
-                    k,
-                    Link {
-                        to,
-                        listed: false,
-                        state,
-                    },
-                );
-                k
-            }
-        }
+impl Row {
+    fn live(&self, id: NodeId) -> bool {
+        self.id == id && self.presence == Presence::Live
     }
-}
-
-/// A link on the pending list: its key, which orders the flush, and where
-/// its sender row, the link in that row and its destination row were when
-/// it was listed. Rows and links shift when others come or go, so a flush
-/// checks the positions against the key and searches again if they moved.
-#[derive(Clone, Copy)]
-struct Listed {
-    key: (NodeId, NodeId),
-    row: usize,
-    link: usize,
-    dest: usize,
 }
 
 #[derive(Default)]
 struct BusInner {
     next_id: u32,
     now_tick: u64,
-    /// Sorted by id.
-    rows: Vec<NodeRow>,
+    rows: Vec<Row>,
+    /// Free slots of `rows`.
+    free_rows: Vec<u32>,
+    /// `(id, slot)` of every row in use, sorted by id (ids are handed out
+    /// in ascending order, so registering appends).
+    index: Vec<(NodeId, u32)>,
+    mail: Arena,
     /// The loss and jitter every link samples.
     faults: Faults,
     /// Seed mixed into every link's fault generator.
     fault_seed: u64,
     /// Nodes cut off from everyone (a network-isolated machine).
     isolated: BTreeSet<NodeId>,
-    /// While `true`, `send` stages traffic on its link without flushing;
-    /// [`Bus::resume_delivery`] flushes in key order.
+    /// While `true`, `send` stages traffic; [`Bus::resume_delivery`]
+    /// delivers it.
     deferred: bool,
-    /// The links that may hold undelivered traffic, each once, in the
-    /// order they became busy; a flush sorts them by key first. Idle links
-    /// are never visited.
-    pending: Vec<Listed>,
+    /// Rows with a non-empty staged list, each once.
+    staged_rows: Vec<u32>,
+    /// What jitter holds back, per link `(from, to)`, oldest first; a
+    /// link is here only while it holds something.
+    held: BTreeMap<(NodeId, NodeId), VecDeque<Held>>,
+    /// Departed nodes whose rows or links could not be forgotten yet.
+    departed: Vec<NodeId>,
+    /// Scratch of the flush's sort: `(sender, position, arena node)`.
+    order: Vec<(NodeId, u32, u32)>,
     /// Counters of the links forgotten so far, so the bus-wide totals
     /// never go backwards.
     retired: LinkTraffic,
+}
+
+/// A message jitter holds back until `due_tick`.
+struct Held {
+    due_tick: u64,
+    payload: Bytes,
+}
+
+/// Makes room for one more element of `v`, growing it by an eighth at a
+/// time: the bus's tables stay as large as their busiest moment, and
+/// doubling would leave up to half of that unused.
+fn grow<T>(v: &mut Vec<T>) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.len() / 8 + 1);
+    }
 }
 
 /// Derives a per-link fault seed from the bus seed and the link's ends.
@@ -151,62 +273,20 @@ fn link_seed(fault_seed: u64, from: NodeId, to: NodeId) -> u64 {
     roia_rng::mix(fault_seed ^ ((from.0 as u64) << 32) ^ (to.0 as u64) ^ 0x5851_F42D_4C95_7F2D)
 }
 
-/// Delivers what link `k` of row `i` has due at `now` into the inbox of
-/// row `j` — or counts it as dropped when there is no such row or its node
-/// has departed — and returns the link.
-fn deliver(
-    rows: &mut [NodeRow],
-    now: u64,
-    i: usize,
-    k: usize,
-    j: Option<usize>,
-) -> Option<&mut Link> {
-    let (link, inbox) = match j {
-        Some(j) if j != i => {
-            let [sender, dest] = rows.get_disjoint_mut([i, j]).ok()?;
-            (sender.links.get_mut(k)?, dest.inbox.as_mut())
-        }
-        Some(_) => {
-            let NodeRow { links, inbox, .. } = rows.get_mut(i)?;
-            (links.get_mut(k)?, inbox.as_mut())
-        }
-        None => (rows.get_mut(i)?.links.get_mut(k)?, None),
-    };
-    match inbox {
-        Some(inbox) => link.state.drain_due(now, |m| inbox.push_back(m)),
-        // The destination unregistered while the messages were in flight —
-        // a real socket close eats those bytes. They are still lost
-        // traffic, so they must show up in the link's drop counters rather
-        // than vanish silently.
-        None => {
-            let (mut lost, mut lost_bytes) = (0, 0);
-            link.state.drain_due(now, |m| {
-                lost += 1;
-                lost_bytes += m.payload.len() as u64;
-            });
-            // `drain_due` counted these as delivered; undo that.
-            link.state.messages_dropped += lost;
-            link.state.bytes_delivered = link.state.bytes_delivered.saturating_sub(lost_bytes);
-        }
-    }
-    Some(link)
-}
-
 impl BusInner {
-    /// Row index of `id`, registered or departed.
-    fn row(&self, id: NodeId) -> Option<usize> {
-        self.rows.binary_search_by_key(&id, |r| r.id).ok()
+    /// Slot of `id`, registered or departed.
+    fn slot(&self, id: NodeId) -> Option<u32> {
+        let at = self.index.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        self.index.get(at).map(|&(_, slot)| slot)
     }
 
-    /// Row index of `id` while it is registered.
-    fn live_row(&self, id: NodeId) -> Option<usize> {
-        self.row(id)
-            .filter(|&i| self.rows.get(i).is_some_and(|r| r.inbox.is_some()))
+    /// Slot of `id` while it is registered.
+    fn live_slot(&self, id: NodeId) -> Option<u32> {
+        self.slot(id).filter(|&s| self.is_live(s, id))
     }
 
-    fn inbox_mut(&mut self, id: NodeId) -> Option<&mut VecDeque<Message>> {
-        let i = self.row(id)?;
-        self.rows.get_mut(i)?.inbox.as_mut()
+    fn is_live(&self, slot: u32, id: NodeId) -> bool {
+        self.rows.get(slot as usize).is_some_and(|r| r.live(id))
     }
 
     /// Whether traffic `from → to` is currently blackholed.
@@ -214,80 +294,228 @@ impl BusInner {
         self.isolated.contains(&from) || self.isolated.contains(&to)
     }
 
-    /// Flushes every listed link in ascending `(from, to)` order; the ones
-    /// that still hold traffic stay listed.
-    fn flush_pending(&mut self) {
-        let mut listed = std::mem::take(&mut self.pending);
-        listed.sort_unstable_by_key(|l| l.key);
-        listed.retain_mut(|l| self.flush_link(l));
-        self.pending = listed;
+    /// Sends from the node in `slot`, which must be `from` and registered.
+    fn transmit(
+        &mut self,
+        slot: u32,
+        from: NodeId,
+        to: NodeId,
+        payload: Bytes,
+    ) -> Result<(), NetError> {
+        if !self.is_live(slot, from) {
+            return Err(NetError::UnknownSender(from));
+        }
+        let found = self
+            .rows
+            .get(slot as usize)
+            .map(|row| row.links.binary_search_by_key(&to, |l| l.to))
+            .ok_or(NetError::UnknownSender(from))?;
+        let k = match found {
+            Ok(k) => k,
+            Err(k) => {
+                let dest = self.live_slot(to).ok_or(NetError::UnknownNode(to))?;
+                let link = Link::new(to, dest, link_seed(self.fault_seed, from, to));
+                let row = self
+                    .rows
+                    .get_mut(slot as usize)
+                    .ok_or(NetError::UnknownSender(from))?;
+                grow(&mut row.links);
+                row.links.insert(k, link);
+                k
+            }
+        };
+        let dest = self
+            .rows
+            .get(slot as usize)
+            .and_then(|row| row.links.get(k))
+            .map_or(NIL, |link| link.dest);
+        if !self.is_live(dest, to) {
+            return Err(NetError::UnknownNode(to));
+        }
+        let blocked = self.blocked(from, to);
+        let (now, faults, deferred) = (self.now_tick, self.faults, self.deferred);
+        let row = self
+            .rows
+            .get_mut(slot as usize)
+            .ok_or(NetError::UnknownSender(from))?;
+        let link = row.links.get_mut(k).ok_or(NetError::UnknownNode(to))?;
+        if blocked {
+            link.drop_at_send(payload.len() as u64);
+            return Ok(());
+        }
+        let held_ahead = self.held.contains_key(&(from, to));
+        let payload = match link.admit(now, payload, faults, held_ahead) {
+            Admitted::Now(payload) => payload,
+            Admitted::Held { due_tick, payload } => {
+                let queue = self.held.entry((from, to)).or_default();
+                queue.push_back(Held { due_tick, payload });
+                return Ok(());
+            }
+            Admitted::Lost => return Ok(()),
+        };
+        if deferred {
+            self.stage(dest, from, payload);
+        } else if let Some(row) = self.rows.get_mut(dest as usize) {
+            self.mail.push(&mut row.inbox, from, payload);
+        }
+        Ok(())
     }
 
-    /// Delivers every message due on a listed link into its destination
-    /// inbox, refreshing the positions `listed` keeps; returns whether the
-    /// link still holds traffic. A link that has drained is forgotten if
-    /// an end of it has departed.
-    fn flush_link(&mut self, listed: &mut Listed) -> bool {
-        let (from, to) = listed.key;
-        let in_place = self
-            .rows
-            .get(listed.row)
-            .is_some_and(|r| r.id == from && r.links.get(listed.link).is_some_and(|l| l.to == to));
-        if !in_place {
-            let Some(i) = self.row(from) else {
-                return false;
-            };
-            let Some(k) = self
-                .rows
-                .get(i)
-                .and_then(|r| r.links.binary_search_by_key(&to, |l| l.to).ok())
-            else {
-                return false;
-            };
-            (listed.row, listed.link) = (i, k);
-        }
-        let (i, k) = (listed.row, listed.link);
-        let j = if self.rows.get(listed.dest).is_some_and(|r| r.id == to) {
-            Some(listed.dest)
-        } else {
-            self.row(to)
+    /// Appends a message to the staged list of the row in `dest`.
+    fn stage(&mut self, dest: u32, from: NodeId, payload: Bytes) {
+        let Some(row) = self.rows.get_mut(dest as usize) else {
+            return;
         };
-        if let Some(j) = j {
-            listed.dest = j;
+        if row.staged.is_empty() {
+            self.staged_rows.push(dest);
         }
-        let Some(link) = deliver(&mut self.rows, self.now_tick, i, k, j) else {
+        self.mail.push(&mut row.staged, from, payload);
+    }
+
+    /// Delivers everything staged and everything jitter held that is due:
+    /// each destination receives its messages by ascending sender, each
+    /// sender's in program order — what flushing every link in `(from, to)`
+    /// order delivers. Then forgets what departed nodes left behind.
+    fn deliver_pending(&mut self) {
+        let mut held = std::mem::take(&mut self.held);
+        held.retain(|&(from, to), queue| self.release_due(from, to, queue));
+        self.held = held;
+
+        let mut staged = std::mem::take(&mut self.staged_rows);
+        for slot in staged.drain(..) {
+            self.deliver_staged(slot);
+        }
+        self.staged_rows = staged;
+
+        let mut departed = std::mem::take(&mut self.departed);
+        departed.retain(|&id| !self.reap(id));
+        self.departed = departed;
+    }
+
+    /// Stages what link `from → to` holds in `queue` that is due now, after
+    /// what the link's sender staged in this phase; returns whether the
+    /// link still holds traffic.
+    fn release_due(&mut self, from: NodeId, to: NodeId, queue: &mut VecDeque<Held>) -> bool {
+        let now = self.now_tick;
+        let found = self.slot(from).and_then(|slot| {
+            let row = self.rows.get(slot as usize)?;
+            let k = row.links.binary_search_by_key(&to, |l| l.to).ok()?;
+            Some((slot as usize, k, row.links.get(k)?.dest))
+        });
+        let Some((slot, k, dest)) = found else {
             return false;
         };
-        link.listed = link.state.in_flight() > 0;
-        if link.listed {
-            return true;
+        let live = self.is_live(dest, to);
+        while let Some(held) = queue.pop_front_if(|h| h.due_tick <= now) {
+            if let Some(link) = self.rows.get_mut(slot).and_then(|r| r.links.get_mut(k)) {
+                link.released(held.payload.len() as u64, live);
+            }
+            if live {
+                self.stage(dest, from, held.payload);
+            }
         }
-        let live = |row: Option<usize>| {
-            row.and_then(|r| self.rows.get(r))
-                .is_some_and(|r| r.inbox.is_some())
-        };
-        if !(live(Some(i)) && live(j)) {
-            self.retire_link(i, k);
-        }
-        false
+        !queue.is_empty()
     }
 
-    /// Forgets link `k` of row `i`, which can never carry traffic again —
-    /// an end of it is unregistered (node ids are never reused) and
-    /// nothing is in flight — folding its counters into `retired`, and the
-    /// row too if that was a departed node's last link.
-    fn retire_link(&mut self, i: usize, k: usize) {
-        let Some(row) = self.rows.get_mut(i) else {
+    /// Orders the staged list of the row in `slot` by sender and moves it
+    /// onto the row's inbox — or, if the row's node has left, counts every
+    /// message on it as dropped on its link.
+    fn deliver_staged(&mut self, slot: u32) {
+        let Some(row) = self.rows.get_mut(slot as usize) else {
             return;
         };
-        if k >= row.links.len() {
+        let mut staged = std::mem::replace(&mut row.staged, List::EMPTY);
+        let (to, live) = (row.id, row.presence == Presence::Live);
+        if !live {
+            while let Some((from, payload)) = self.mail.pop(&mut staged) {
+                self.count_lost(from, to, payload.len() as u64);
+            }
             return;
         }
-        let link = row.links.remove(k);
-        self.retired.absorb(&link.state);
-        if row.inbox.is_none() && row.links.is_empty() {
-            self.rows.remove(i);
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        let mut at = staged.head;
+        let mut position = 0u32;
+        while let Some(node) = self.mail.nodes.get(at as usize) {
+            order.push((node.from, position, at));
+            position += 1;
+            at = node.next;
         }
+        order.sort_unstable();
+        staged = List::EMPTY;
+        for &(_, _, at) in &order {
+            if let Some(node) = self.mail.nodes.get_mut(at as usize) {
+                node.next = NIL;
+            }
+            self.mail.link_after(&mut staged, at);
+        }
+        self.order = order;
+        if let Some(row) = self.rows.get_mut(slot as usize) {
+            self.mail.splice(&mut row.inbox, &mut staged);
+        }
+    }
+
+    /// Counts a staged message whose destination left before the flush as
+    /// dropped on its link (a real socket close eats those bytes; they are
+    /// lost traffic, not delivered). The link is still there: nothing is
+    /// forgotten while a paused phase has staged traffic.
+    fn count_lost(&mut self, from: NodeId, to: NodeId, bytes: u64) {
+        let link = self.slot(from).and_then(|slot| {
+            let row = self.rows.get_mut(slot as usize)?;
+            let k = row.links.binary_search_by_key(&to, |l| l.to).ok()?;
+            row.links.get_mut(k)
+        });
+        if let Some(link) = link {
+            link.messages_dropped += 1;
+            link.bytes_delivered = link.bytes_delivered.saturating_sub(bytes);
+        }
+    }
+
+    /// Forgets what departed node `id` left behind: its links and the
+    /// links to it that hold nothing, and its row once it has no links
+    /// (node ids are never reused, so those links can never carry traffic
+    /// again). Returns whether nothing of it is left.
+    fn reap(&mut self, id: NodeId) -> bool {
+        let mut left = false;
+        let Self {
+            rows,
+            retired,
+            index,
+            free_rows,
+            held,
+            ..
+        } = self;
+        for (slot, row) in rows.iter_mut().enumerate() {
+            if row.presence == Presence::Free {
+                continue;
+            }
+            if row.id == id {
+                row.links.retain(|link| {
+                    let busy = held.contains_key(&(id, link.to));
+                    if !busy {
+                        retired.absorb(link);
+                    }
+                    busy
+                });
+            } else if let Ok(k) = row.links.binary_search_by_key(&id, |l| l.to) {
+                if !held.contains_key(&(row.id, id)) {
+                    let link = row.links.remove(k);
+                    retired.absorb(&link);
+                }
+            }
+            // A departed row goes with its last link; it has no mail left
+            // (its staged list was delivered or counted by the flush).
+            if row.presence == Presence::Departed && row.links.is_empty() && row.staged.is_empty() {
+                row.presence = Presence::Free;
+                if let Ok(at) = index.binary_search_by_key(&row.id, |&(id, _)| id) {
+                    index.remove(at);
+                }
+                free_rows.push(slot as u32);
+            }
+            left |= (row.id == id && row.presence != Presence::Free)
+                || row.links.binary_search_by_key(&id, |l| l.to).is_ok();
+        }
+        !left
     }
 }
 
@@ -296,6 +524,9 @@ impl BusInner {
 #[derive(Clone, Default)]
 pub struct Bus {
     inner: Arc<Mutex<BusInner>>,
+    /// The pool of frames whose stock the writers of this bus's nodes
+    /// share.
+    frames: Arc<Mutex<FramePool>>,
 }
 
 impl Bus {
@@ -304,20 +535,49 @@ impl Bus {
         Self::default()
     }
 
+    /// A handle on the stock of frames this bus's writers share: a writer
+    /// that takes its frames from it reuses the storage of frames any
+    /// node's receivers have dropped (see [`FramePool`]).
+    pub fn frames(&self) -> FramePool {
+        let mut frames = self.frames.lock().unwrap_or_else(PoisonError::into_inner);
+        frames.share()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BusInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a new endpoint. The label is the caller's name for it;
     /// the bus identifies endpoints by the [`NodeId`] it hands out and
     /// keeps no names.
     pub fn register(&self, _label: &str) -> Endpoint {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         let id = NodeId(inner.next_id);
         inner.next_id += 1;
-        inner.rows.push(NodeRow {
-            id,
-            inbox: Some(VecDeque::new()),
-            links: Vec::new(),
-        });
+        let slot = match inner.free_rows.pop() {
+            Some(slot) => slot,
+            None => {
+                grow(&mut inner.rows);
+                inner.rows.push(Row {
+                    id,
+                    presence: Presence::Free,
+                    inbox: List::EMPTY,
+                    staged: List::EMPTY,
+                    links: Vec::new(),
+                });
+                (inner.rows.len() - 1) as u32
+            }
+        };
+        if let Some(row) = inner.rows.get_mut(slot as usize) {
+            // A reused row keeps its (empty) link table's capacity.
+            row.id = id;
+            row.presence = Presence::Live;
+        }
+        grow(&mut inner.index);
+        inner.index.push((id, slot));
         Endpoint {
             id,
+            slot,
             bus: self.clone(),
         }
     }
@@ -327,42 +587,31 @@ impl Bus {
     /// once, the others as soon as they have drained. Dropping the
     /// [`Endpoint`] does this too.
     pub fn unregister(&self, id: NodeId) {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.lock();
         let inner = &mut *guard;
-        let Some(i) = inner.live_row(id) else {
+        let Some(slot) = inner.live_slot(id) else {
             return;
         };
-        let BusInner { rows, retired, .. } = inner;
-        if let Some(row) = rows.get_mut(i) {
-            row.inbox = None;
-            row.links.retain(|link| {
-                let busy = link.state.in_flight() > 0;
-                if !busy {
-                    retired.absorb(&link.state);
-                }
-                busy
-            });
+        if let Some(row) = inner.rows.get_mut(slot as usize) {
+            row.presence = Presence::Departed;
+            inner.mail.clear(&mut row.inbox);
         }
-        rows.retain_mut(|row| {
-            if let Ok(k) = row.links.binary_search_by_key(&id, |l| l.to) {
-                if row.links.get(k).is_some_and(|l| l.state.in_flight() == 0) {
-                    let link = row.links.remove(k);
-                    retired.absorb(&link.state);
-                }
-            }
-            row.inbox.is_some() || !row.links.is_empty()
-        });
+        // While a paused phase has staged traffic, links may carry
+        // messages only the flush sorts out: forget nothing until then.
+        if !inner.staged_rows.is_empty() || !inner.reap(id) {
+            inner.departed.push(id);
+        }
     }
 
     /// Sets the seed from which per-link fault generators derive. Existing
     /// links are re-seeded; call before injecting faults for reproducible
     /// loss/jitter patterns.
     pub fn set_fault_seed(&self, seed: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         inner.fault_seed = seed;
         for row in &mut inner.rows {
             for link in &mut row.links {
-                link.state.reseed(link_seed(seed, row.id, link.to));
+                link.reseed(link_seed(seed, row.id, link.to));
             }
         }
     }
@@ -378,8 +627,7 @@ impl Bus {
             (0.0..=1.0).contains(&drop_probability),
             "drop probability must be in [0, 1]"
         );
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.faults = Faults {
+        self.lock().faults = Faults {
             drop_probability,
             jitter_ticks,
         };
@@ -389,7 +637,7 @@ impl Bus {
     /// from an isolated node is blackholed: `send` succeeds (the sender
     /// cannot tell) but nothing arrives, and the link counts it as dropped.
     pub fn set_isolated(&self, node: NodeId, active: bool) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         if active {
             inner.isolated.insert(node);
         } else {
@@ -400,92 +648,69 @@ impl Bus {
     /// Sends `payload` from `from` to `to` (creating the link on first
     /// use).
     pub fn send(&self, from: NodeId, to: NodeId, payload: Bytes) -> Result<(), NetError> {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let inner = &mut *guard;
-        let i = inner.live_row(from).ok_or(NetError::UnknownSender(from))?;
-        let j = inner.live_row(to).ok_or(NetError::UnknownNode(to))?;
-        let blocked = inner.blocked(from, to);
-        let (now, deferred, faults, seed) = (
-            inner.now_tick,
-            inner.deferred,
-            inner.faults,
-            inner.fault_seed,
-        );
-        let rows = &mut inner.rows;
-        let row = rows.get_mut(i).ok_or(NetError::UnknownSender(from))?;
-        let k = row.link_to(to, || LinkState::new_seeded(link_seed(seed, from, to)));
-        let Some(link) = row.links.get_mut(k) else {
-            return Err(NetError::UnknownNode(to));
-        };
-        if blocked {
-            link.state.drop_at_send(payload.len() as u64);
-            return Ok(());
-        }
-        link.state
-            .enqueue(now, Message { from, to, payload }, faults);
-        let link = if deferred {
-            rows.get_mut(i).and_then(|r| r.links.get_mut(k))
-        } else {
-            // What jitter does not hold back is deliverable right away.
-            deliver(rows, now, i, k, Some(j))
-        };
-        if let Some(link) = link.filter(|l| !l.listed && l.state.in_flight() > 0) {
-            link.listed = true;
-            inner.pending.push(Listed {
-                key: (from, to),
-                row: i,
-                link: k,
-                dest: j,
-            });
-        }
-        Ok(())
+        let mut inner = self.lock();
+        let slot = inner.slot(from).ok_or(NetError::UnknownSender(from))?;
+        inner.transmit(slot, from, to, payload)
     }
 
-    /// Stages subsequent sends on their links without delivering anything.
-    /// Per-link send order is preserved; cross-link delivery order is
-    /// decided by [`Bus::resume_delivery`], not by call interleaving — the
-    /// contract a concurrent lock-step driver relies on.
+    /// Stages subsequent sends without delivering anything. Per-link send
+    /// order is preserved; cross-link delivery order is decided by
+    /// [`Bus::resume_delivery`], not by call interleaving — the contract a
+    /// concurrent lock-step driver relies on.
     pub fn pause_delivery(&self) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .deferred = true;
+        self.lock().deferred = true;
     }
 
-    /// Ends a [`Bus::pause_delivery`] window and flushes every staged link
-    /// in ascending `(from, to)` order.
+    /// Ends a [`Bus::pause_delivery`] window and delivers everything it
+    /// staged, as if every link were flushed in ascending `(from, to)`
+    /// order.
     pub fn resume_delivery(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         inner.deferred = false;
-        inner.flush_pending();
+        inner.deliver_pending();
     }
 
     /// Advances simulated time to `now_tick` and delivers everything due on
     /// every link. Only jitter holds a message past the tick it was sent
     /// in, so only a bus with jitter needs it.
     pub fn advance(&self, now_tick: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         inner.now_tick = now_tick;
-        inner.flush_pending();
+        inner.deliver_pending();
     }
 
     /// A snapshot of the per-link traffic counters.
     pub fn stats(&self) -> TrafficStats {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let inner = self.lock();
         let mut per_link = BTreeMap::new();
-        for row in &inner.rows {
+        for row in inner.rows.iter().filter(|r| r.presence != Presence::Free) {
             for link in &row.links {
-                let state = &link.state;
                 per_link.insert(
                     (row.id, link.to),
                     LinkTraffic {
-                        bytes_sent: state.bytes_sent,
-                        bytes_delivered: state.bytes_delivered,
-                        messages_sent: state.messages_sent,
-                        messages_dropped: state.messages_dropped,
-                        in_flight: state.in_flight() as u64,
+                        bytes_sent: link.bytes_sent,
+                        bytes_delivered: link.bytes_delivered,
+                        messages_sent: link.messages_sent,
+                        messages_dropped: link.messages_dropped,
+                        in_flight: inner
+                            .held
+                            .get(&(row.id, link.to))
+                            .map_or(0, |q| q.len() as u64),
                     },
                 );
+            }
+        }
+        // A staged message is in flight until the flush delivers it.
+        for &slot in &inner.staged_rows {
+            let Some(row) = inner.rows.get(slot as usize) else {
+                continue;
+            };
+            for mail in inner.mail.iter(row.staged) {
+                if let Some(link) = per_link.get_mut(&(mail.from, row.id)) {
+                    let bytes = mail.payload.as_ref().map_or(0, |p| p.len() as u64);
+                    link.in_flight += 1;
+                    link.bytes_delivered = link.bytes_delivered.saturating_sub(bytes);
+                }
             }
         }
         TrafficStats {
@@ -514,7 +739,7 @@ pub struct LinkTraffic {
 impl LinkTraffic {
     /// Adds the counters of a link being forgotten (which has nothing in
     /// flight).
-    fn absorb(&mut self, link: &LinkState) {
+    fn absorb(&mut self, link: &Link) {
         self.bytes_sent += link.bytes_sent;
         self.bytes_delivered += link.bytes_delivered;
         self.messages_sent += link.messages_sent;
@@ -554,9 +779,10 @@ impl TrafficStats {
     }
 }
 
-/// One node's handle on the bus: its identity plus its inbox.
+/// One node's handle on the bus: its identity and where its row is.
 pub struct Endpoint {
     id: NodeId,
+    slot: u32,
     bus: Bus,
 }
 
@@ -568,21 +794,45 @@ impl Endpoint {
 
     /// Sends from this endpoint.
     pub fn send(&self, to: NodeId, payload: Bytes) -> Result<(), NetError> {
-        self.bus.send(self.id, to, payload)
+        self.bus.lock().transmit(self.slot, self.id, to, payload)
+    }
+
+    /// Takes the oldest delivered message, if any — a receiver that
+    /// handles its messages one at a time keeps no buffer of its own.
+    pub fn recv(&self) -> Option<Message> {
+        let mut guard = self.bus.lock();
+        let inner = &mut *guard;
+        let row = inner
+            .rows
+            .get_mut(self.slot as usize)
+            .filter(|r| r.live(self.id))?;
+        let (from, payload) = inner.mail.pop(&mut row.inbox)?;
+        Some(Message {
+            from,
+            to: self.id,
+            payload,
+        })
     }
 
     /// Drains the inbox into a caller-owned buffer (not cleared first), so
     /// per-tick callers can reuse one allocation instead of building a
     /// fresh `Vec` every tick.
     pub fn drain_into(&self, out: &mut Vec<Message>) {
-        if let Some(inbox) = self
-            .bus
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .inbox_mut(self.id)
-        {
-            out.extend(inbox.drain(..));
+        let mut guard = self.bus.lock();
+        let inner = &mut *guard;
+        let Some(row) = inner
+            .rows
+            .get_mut(self.slot as usize)
+            .filter(|r| r.live(self.id))
+        else {
+            return;
+        };
+        while let Some((from, payload)) = inner.mail.pop(&mut row.inbox) {
+            out.push(Message {
+                from,
+                to: self.id,
+                payload,
+            });
         }
     }
 }
@@ -607,29 +857,22 @@ mod tests {
 
     impl Bus {
         fn node_count(&self) -> usize {
-            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            inner.rows.iter().filter(|r| r.inbox.is_some()).count()
+            let inner = self.lock();
+            inner
+                .rows
+                .iter()
+                .filter(|r| r.presence == Presence::Live)
+                .count()
         }
 
         fn link_count(&self) -> usize {
-            self.inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .rows
-                .iter()
-                .map(|r| r.links.len())
-                .sum()
+            self.lock().rows.iter().map(|r| r.links.len()).sum()
         }
     }
 
     impl Endpoint {
         fn try_recv(&self) -> Option<Message> {
-            self.bus
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .inbox_mut(self.id)?
-                .pop_front()
+            self.recv()
         }
 
         fn drain(&self) -> Vec<Message> {

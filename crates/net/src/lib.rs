@@ -4,8 +4,10 @@
 //! distributed processes connected by TCP/UDP. This crate provides the
 //! equivalent substrate for an in-process reproduction: a message [`Bus`]
 //! of ideal links with byte accounting for traffic analysis, and endpoints
-//! a lock-step driver polls (`drain_into` after `advance` or
-//! `resume_delivery`).
+//! a lock-step driver polls (`recv` or `drain_into` after `advance` or
+//! `resume_delivery`). Frames are [`Bytes`]; a writer that takes its
+//! frames from a [`FramePool`] reuses their storage once the receivers
+//! have dropped them.
 //!
 //! Delivery semantics: messages between two nodes are delivered in order
 //! (like RTF's TCP connections), the tick they are sent. Two faults can be
@@ -35,7 +37,7 @@ mod frame;
 mod link;
 
 pub use bus::{Bus, Endpoint, LinkTraffic, Message, NetError, TrafficStats};
-pub use frame::Bytes;
+pub use frame::{Bytes, FramePool};
 
 /// Identifier of a bus endpoint (application server or client connection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -1,14 +1,15 @@
-//! The in-flight queue and fault sampling of one directed link.
+//! The counters and fault sampling of one directed link.
 //!
-//! Links are ideal: a message is due the tick it is sent. The bus-wide
-//! fault pair ([`Faults`]) may lose a message at send time or hold it back
-//! for up to `jitter_ticks` ticks. Faults are sampled from a per-link
-//! deterministic generator seeded by the bus, so a given seed always loses
-//! and delays the same messages.
+//! Links are ideal: a message is due the tick it is sent, and the bus
+//! hands it straight to its destination, so a link keeps no queue. The
+//! bus-wide fault pair ([`Faults`]) may lose a message at send time or
+//! hold it back for up to `jitter_ticks` ticks; only then does the bus
+//! keep a queue for the link, and only until what it holds is due. Faults
+//! are sampled from a per-link deterministic generator seeded by the bus,
+//! so a given seed always loses and delays the same messages.
 
-use crate::bus::Message;
+use crate::{Bytes, NodeId};
 use roia_rng::{Rng, SplitMix};
-use std::collections::VecDeque;
 
 /// The bus-wide fault pair every link samples from.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -21,39 +22,55 @@ pub(crate) struct Faults {
     pub(crate) jitter_ticks: u32,
 }
 
-/// A message staged on a link, due for delivery at `due_tick`.
-#[derive(Debug, Clone)]
-struct Staged {
-    due_tick: u64,
-    message: Message,
+/// What becomes of a message a link takes.
+#[derive(Debug)]
+pub(crate) enum Admitted {
+    /// Due now, with nothing held ahead of it: deliver it.
+    Now(Bytes),
+    /// Jitter holds it (or something ahead of it) until `due_tick`.
+    Held { due_tick: u64, payload: Bytes },
+    /// The drop probability lost it.
+    Lost,
 }
 
-/// Runtime state of one directed link: the in-flight queue plus byte
-/// accounting.
-#[derive(Debug, Default)]
-pub(crate) struct LinkState {
-    queue: VecDeque<Staged>,
+/// One directed link, kept in its sender's row: where its destination's
+/// row is, its byte accounting and its fault generator. A link holds no
+/// messages; what jitter holds back waits in the bus.
+#[derive(Debug)]
+pub(crate) struct Link {
+    /// Destination node.
+    pub(crate) to: NodeId,
+    /// Row of `to` when the link was made; the bus checks it still holds
+    /// `to` before delivering (a departed node's row is reused).
+    pub(crate) dest: u32,
     /// Fault-sampling generator.
     rng: SplitMix,
-    /// Total payload bytes ever enqueued on this link.
+    /// Total payload bytes ever sent on this link.
     pub(crate) bytes_sent: u64,
-    /// Total payload bytes ever delivered from this link.
+    /// Total payload bytes ever delivered from this link. A message staged
+    /// in a paused phase counts here from its send; the bus takes it back
+    /// if the destination leaves before the flush.
     pub(crate) bytes_delivered: u64,
-    /// Total messages ever enqueued.
+    /// Total messages ever sent.
     pub(crate) messages_sent: u64,
     /// Messages lost to the drop probability, isolation, or a destination
     /// that unregistered while they were in flight.
     pub(crate) messages_dropped: u64,
 }
 
-impl LinkState {
-    /// Creates the runtime state with its fault seed (links carved out of
+impl Link {
+    /// A link to `to` (whose row is `dest`) with its fault seed: links of
     /// the same bus get distinct per-pair seeds, so fault patterns are
-    /// independent but reproducible).
-    pub(crate) fn new_seeded(seed: u64) -> Self {
+    /// independent but reproducible.
+    pub(crate) fn new(to: NodeId, dest: u32, seed: u64) -> Self {
         Self {
+            to,
+            dest,
             rng: SplitMix::new(seed),
-            ..Self::default()
+            bytes_sent: 0,
+            bytes_delivered: 0,
+            messages_sent: 0,
+            messages_dropped: 0,
         }
     }
 
@@ -62,47 +79,55 @@ impl LinkState {
         self.rng = SplitMix::new(seed);
     }
 
-    /// Number of messages currently in flight.
-    pub(crate) fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Counts a message that was eaten before entering the queue (an
-    /// isolated end behaves like an IP blackhole: the sender pays for the
-    /// send, nothing arrives).
+    /// Counts a message that was eaten before it was sent (an isolated end
+    /// behaves like an IP blackhole: the sender pays for the send, nothing
+    /// arrives).
     pub(crate) fn drop_at_send(&mut self, payload_bytes: u64) {
         self.bytes_sent += payload_bytes;
         self.messages_sent += 1;
         self.messages_dropped += 1;
     }
 
-    /// Stages a message sent at `now_tick`; `faults` may lose or delay it.
-    pub(crate) fn enqueue(&mut self, now_tick: u64, message: Message, faults: Faults) {
-        self.bytes_sent += message.payload.len() as u64;
+    /// Takes `payload`, sent at `now_tick`; `faults` may lose or delay it,
+    /// and when `held_ahead` jitter already holds something back on this
+    /// link, it waits behind that. A message due now with nothing held
+    /// ahead of it counts as delivered at once; a held one counts once
+    /// [`Link::released`] says so.
+    pub(crate) fn admit(
+        &mut self,
+        now_tick: u64,
+        payload: Bytes,
+        faults: Faults,
+        held_ahead: bool,
+    ) -> Admitted {
+        self.bytes_sent += payload.len() as u64;
         self.messages_sent += 1;
         if faults.drop_probability > 0.0 && self.rng.f64() < faults.drop_probability {
             self.messages_dropped += 1;
-            return;
+            return Admitted::Lost;
         }
         let jitter = if faults.jitter_ticks > 0 {
             self.rng.next_u64() % (faults.jitter_ticks as u64 + 1)
         } else {
             0
         };
-        let due_tick = now_tick + jitter;
-        self.queue.push_back(Staged { due_tick, message });
+        if jitter == 0 && !held_ahead {
+            self.bytes_delivered += payload.len() as u64;
+            return Admitted::Now(payload);
+        }
+        Admitted::Held {
+            due_tick: now_tick + jitter,
+            payload,
+        }
     }
 
-    /// Hands every message deliverable at `now_tick` to `deliver`, in
-    /// order. A jitter-delayed message also holds back everything behind
-    /// it (TCP-like semantics).
-    pub(crate) fn drain_due(&mut self, now_tick: u64, mut deliver: impl FnMut(Message)) {
-        while self.queue.front().is_some_and(|s| s.due_tick <= now_tick) {
-            let Some(staged) = self.queue.pop_front() else {
-                break; // unreachable: the loop condition saw a head
-            };
-            self.bytes_delivered += staged.message.payload.len() as u64;
-            deliver(staged.message);
+    /// Counts a held message of `bytes` bytes as delivered, or as dropped
+    /// when its destination has left.
+    pub(crate) fn released(&mut self, bytes: u64, delivered: bool) {
+        if delivered {
+            self.bytes_delivered += bytes;
+        } else {
+            self.messages_dropped += 1;
         }
     }
 }
@@ -110,26 +135,32 @@ impl LinkState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bytes, NodeId};
 
     const IDEAL: Faults = Faults {
         drop_probability: 0.0,
         jitter_ticks: 0,
     };
 
-    /// The messages `drain_due` hands over at `now_tick`.
-    fn due(link: &mut LinkState, now_tick: u64) -> Vec<Message> {
-        let mut out = Vec::new();
-        link.drain_due(now_tick, |m| out.push(m));
-        out
+    fn link(seed: u64) -> Link {
+        Link::new(NodeId(1), 1, seed)
     }
 
-    fn msg(bytes: usize) -> Message {
-        Message {
-            from: NodeId(0),
-            to: NodeId(1),
-            payload: Bytes::from(vec![0u8; bytes]),
+    /// What `admit` makes of each payload: delivered now, held, lost —
+    /// once one is held, the rest wait behind it.
+    fn admit_all(link: &mut Link, payloads: &[Bytes], faults: Faults) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        for payload in payloads {
+            match link.admit(0, payload.clone(), faults, counts.1 > 0) {
+                Admitted::Now(_) => counts.0 += 1,
+                Admitted::Held { .. } => counts.1 += 1,
+                Admitted::Lost => counts.2 += 1,
+            }
         }
+        counts
+    }
+
+    fn frames(n: usize, bytes: usize) -> Vec<Bytes> {
+        (0..n).map(|_| Bytes::from(vec![0u8; bytes])).collect()
     }
 
     fn lossy(drop_probability: f64) -> Faults {
@@ -140,52 +171,42 @@ mod tests {
     }
 
     #[test]
-    fn ideal_link_delivers_same_tick() {
-        let mut link = LinkState::default();
-        link.enqueue(5, msg(10), IDEAL);
-        assert_eq!(due(&mut link, 5).len(), 1);
-        assert_eq!(link.in_flight(), 0);
+    fn ideal_link_delivers_at_once() {
+        let mut link = link(0);
+        assert_eq!(admit_all(&mut link, &frames(3, 10), IDEAL), (3, 0, 0));
     }
 
     #[test]
     fn byte_accounting() {
-        let mut link = LinkState::default();
-        link.enqueue(0, msg(10), IDEAL);
-        link.enqueue(0, msg(20), IDEAL);
+        let mut link = link(0);
+        admit_all(
+            &mut link,
+            &[Bytes::from(vec![0; 10]), Bytes::from(vec![0; 20])],
+            IDEAL,
+        );
         assert_eq!(link.bytes_sent, 30);
         assert_eq!(link.messages_sent, 2);
-        due(&mut link, 0);
         assert_eq!(link.bytes_delivered, 30);
     }
 
     #[test]
-    fn drain_before_send_is_empty() {
-        let mut link = LinkState::default();
-        assert!(due(&mut link, 100).is_empty());
-    }
-
-    #[test]
     fn lossy_link_drops_a_fraction() {
-        let mut link = LinkState::new_seeded(0xF00D);
-        for _ in 0..1000 {
-            link.enqueue(0, msg(1), lossy(0.5));
-        }
+        let mut link = link(0xF00D);
+        let (now, held, lost) = admit_all(&mut link, &frames(1000, 1), lossy(0.5));
         assert_eq!(link.messages_sent, 1000);
-        let dropped = link.messages_dropped;
+        assert_eq!((held, lost as u64), (0, link.messages_dropped));
         assert!(
-            (300..=700).contains(&dropped),
-            "p=0.5 should lose roughly half, lost {dropped}"
+            (300..=700).contains(&lost),
+            "p=0.5 should lose roughly half, lost {lost}"
         );
-        assert_eq!(due(&mut link, 0).len() as u64, 1000 - dropped);
+        assert_eq!(now + lost, 1000);
     }
 
     #[test]
     fn loss_is_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut link = LinkState::new_seeded(seed);
-            for _ in 0..200 {
-                link.enqueue(0, msg(1), lossy(0.3));
-            }
+            let mut link = link(seed);
+            admit_all(&mut link, &frames(200, 1), lossy(0.3));
             link.messages_dropped
         };
         assert_eq!(run(7), run(7));
@@ -193,53 +214,30 @@ mod tests {
     }
 
     #[test]
-    fn reliable_link_never_drops() {
-        let mut link = LinkState::new_seeded(42);
-        for _ in 0..500 {
-            link.enqueue(0, msg(3), IDEAL);
-        }
-        assert_eq!(link.messages_dropped, 0);
-        assert_eq!(due(&mut link, 0).len(), 500);
-    }
-
-    #[test]
-    fn jitter_delays_but_delivers_everything_in_order() {
+    fn jitter_holds_everything_behind_a_held_message() {
         let faults = Faults {
             drop_probability: 0.0,
             jitter_ticks: 4,
         };
-        let mut link = LinkState::new_seeded(99);
-        for i in 0..50u8 {
-            let mut m = msg(1);
-            m.payload = Bytes::from(vec![i]);
-            link.enqueue(0, m, faults);
+        let mut link = link(99);
+        let (now, held, lost) = admit_all(&mut link, &frames(50, 1), faults);
+        assert!(held > 0, "jitter 4 holds something back");
+        assert_eq!((now + held, lost), (50, 0));
+        assert_eq!(link.bytes_delivered, now as u64);
+        for _ in 0..held {
+            link.released(1, true);
         }
-        let mut got = Vec::new();
-        for tick in 0..10 {
-            got.extend(due(&mut link, tick));
-        }
-        assert_eq!(got.len(), 50, "jitter must not lose messages");
-        let order: Vec<u8> = got.iter().map(|m| m.payload[0]).collect();
-        assert_eq!(
-            order,
-            (0u8..50).collect::<Vec<_>>(),
-            "in-order despite jitter"
-        );
-        // With jitter up to 4 ticks, not everything arrives at tick 0.
-        let mut link2 = LinkState::new_seeded(99);
-        for _ in 0..50 {
-            link2.enqueue(0, msg(1), faults);
-        }
-        assert!(due(&mut link2, 0).len() < 50, "some messages were delayed");
+        assert_eq!(link.bytes_delivered, 50);
+        link.released(1, false);
+        assert_eq!(link.messages_dropped, 1, "a departed destination loses it");
     }
 
     #[test]
     fn drop_at_send_counts_like_a_blackhole() {
-        let mut link = LinkState::default();
+        let mut link = link(0);
         link.drop_at_send(64);
         assert_eq!(link.messages_sent, 1);
         assert_eq!(link.messages_dropped, 1);
         assert_eq!(link.bytes_sent, 64);
-        assert!(due(&mut link, 0).is_empty());
     }
 }

@@ -73,10 +73,11 @@ impl SloSpec {
 }
 
 /// Fixed-length ring of per-tick `(bad, total)` sample counts with
-/// running sums, so windowed burn rates are O(1) per tick.
+/// running sums, so windowed burn rates are O(1) per tick. A tick is
+/// stored in 32 bits per count (see [`Window::fit`]); the sums are 64-bit.
 #[derive(Debug, Clone)]
 struct Window {
-    buf: Vec<(u64, u64)>,
+    buf: Vec<(u32, u32)>,
     head: usize,
     filled: bool,
     bad: u64,
@@ -94,10 +95,27 @@ impl Window {
         }
     }
 
+    /// One tick's counts as the window stores them. A tick with more than
+    /// `u32::MAX` samples is scaled down to `u32::MAX` with its bad
+    /// fraction kept, rounded up so a bad tick stays bad. The sums add and
+    /// later subtract the same stored pair, so they never drift.
+    fn fit(bad: u64, total: u64) -> (u32, u32) {
+        let bad = bad.min(total);
+        match (u32::try_from(bad), u32::try_from(total)) {
+            (Ok(bad), Ok(total)) => (bad, total),
+            _ => {
+                let max = u128::from(u32::MAX);
+                let scaled = (u128::from(bad) * max).div_ceil(u128::from(total));
+                (u32::try_from(scaled).unwrap_or(u32::MAX), u32::MAX)
+            }
+        }
+    }
+
     fn push(&mut self, bad: u64, total: u64) {
+        let (bad, total) = Self::fit(bad, total);
         let (old_bad, old_total) = self.buf[self.head];
-        self.bad = self.bad - old_bad + bad;
-        self.total = self.total - old_total + total;
+        self.bad = self.bad - u64::from(old_bad) + u64::from(bad);
+        self.total = self.total - u64::from(old_total) + u64::from(total);
         self.buf[self.head] = (bad, total);
         self.head += 1;
         if self.head == self.buf.len() {
@@ -575,6 +593,30 @@ mod tests {
             TraceEvent::SloRecovered { burn_ticks, .. } => assert_eq!(burn_ticks, 30),
             other => panic!("wrong event {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_tick_too_large_for_32_bits_is_scaled_not_wrapped() {
+        assert_eq!(Window::fit(3, 7), (3, 7));
+        assert_eq!(Window::fit(9, 7), (7, 7), "bad never exceeds total");
+        let total = 1u64 << 40;
+        assert_eq!(Window::fit(total / 2, total), (1 << 31, u32::MAX));
+        assert_eq!(Window::fit(1, total), (1, u32::MAX), "a bad tick stays bad");
+        assert_eq!(Window::fit(0, u64::MAX), (0, u32::MAX));
+
+        let mut window = Window::new(3);
+        window.push(total / 4, total);
+        window.push(1, 4);
+        assert_eq!(
+            (window.bad, window.total),
+            ((1 << 30) + 1, u64::from(u32::MAX) + 4)
+        );
+        assert!((window.bad_fraction() - 0.25).abs() < 1e-6);
+        // Once the oversized tick leaves the window the sums are exact again.
+        for _ in 0..2 {
+            window.push(0, 2);
+        }
+        assert_eq!((window.bad, window.total), (1, 8));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::entity::UserId;
 use crate::event::{Packet, PacketRef};
 use crate::wire::{Wire, WireReader, WireWriter};
 use rtf_net::Bytes;
-use rtf_net::{Bus, Endpoint, Message, NetError, NodeId};
+use rtf_net::{Bus, Endpoint, NetError, NodeId};
 
 /// Generates the inputs a user issues and observes the updates they get.
 pub trait InputSource {
@@ -65,8 +65,6 @@ pub struct Client {
     state: ClientState,
     seq: u32,
     stats: ClientStats,
-    /// Reused per tick: the drained inbox.
-    inbox: Vec<Message>,
     /// Reused per tick: the input frame being encoded.
     writer: WireWriter,
 }
@@ -87,7 +85,6 @@ impl Client {
             state: ClientState::Connecting,
             seq: 0,
             stats: ClientStats::default(),
-            inbox: Vec::new(),
             writer: WireWriter::new(),
         })
     }
@@ -116,8 +113,7 @@ impl Client {
     /// source produces one). Returns the number of state updates received.
     pub fn tick(&mut self, tick: u64, source: &mut dyn InputSource) -> u32 {
         let mut updates = 0u32;
-        self.endpoint.drain_into(&mut self.inbox);
-        for msg in self.inbox.drain(..) {
+        while let Some(msg) = self.endpoint.recv() {
             self.stats.bytes_in += msg.payload.len() as u64;
             let Ok(pkt) = PacketRef::decode(&mut WireReader::new(&msg.payload)) else {
                 continue;
@@ -190,6 +186,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtf_net::Message;
 
     impl Client {
         /// The client's own network id.

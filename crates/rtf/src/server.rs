@@ -33,7 +33,7 @@ use crate::timer::{TaskKind, TickTimers, TimeMode, TASK_COUNT};
 use crate::wire::{Wire, WireReader, WireWriter};
 use crate::zone::ZoneId;
 use rtf_net::Bytes;
-use rtf_net::{Bus, Endpoint, Message, NodeId};
+use rtf_net::{Bus, Endpoint, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 
@@ -309,11 +309,11 @@ pub struct MigrationCounters {
 /// Reusable per-tick buffers. [`Server::tick`] takes them out of the
 /// server at the top and puts them back at the end, so the phases can
 /// borrow the app mutably while iterating them and the whole tick
-/// allocates nothing in steady state but the outgoing frames themselves
-/// (the vectors keep their high-water capacity across ticks).
+/// allocates nothing in steady state (the vectors keep their high-water
+/// capacity across ticks, and the writer reuses the storage of frames its
+/// receivers have dropped).
 #[derive(Debug, Default)]
 struct TickScratch {
-    inbox: Vec<Message>,
     // Received buffers by kind, and the envelopes decoded from them.
     user_inputs: Vec<Bytes>,
     forwarded: Vec<Bytes>,
@@ -408,7 +408,12 @@ impl<A: Application> Server<A> {
             migration_counters: MigrationCounters::default(),
             tracer: roia_obs::Tracer::disabled(),
             trace_tick_offset: 0,
-            scratch: TickScratch::default(),
+            scratch: TickScratch {
+                // The servers on a bus share one stock of frames: one
+                // server's frames reuse what another's receivers dropped.
+                writer: WireWriter::with_frames(bus.frames()),
+                ..TickScratch::default()
+            },
         }
     }
 
@@ -618,9 +623,7 @@ impl<A: Application> Server<A> {
     /// byte, without decoding, so each kind's decode pass can be
     /// attributed to its task below.
     fn receive(&mut self, scratch: &mut TickScratch, record: &mut TickRecord) {
-        scratch.inbox.clear();
-        self.endpoint.drain_into(&mut scratch.inbox);
-        for msg in scratch.inbox.drain(..) {
+        while let Some(msg) = self.endpoint.recv() {
             let len = msg.payload.len() as u64;
             record.bytes_in += len;
             let (from_peer, kind) = match msg.payload.first() {
@@ -993,6 +996,7 @@ impl<A: Application> Server<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtf_net::Message;
 
     impl<A: Application> Server<A> {
         /// Local estimate of the zone's total user count `n`.

@@ -7,7 +7,7 @@
 //! payloads. Byte counts flow into the per-task cost accounting — the
 //! paper's `t_*_dser`/`t_su` parameters scale with serialized size.
 
-use rtf_net::Bytes;
+use rtf_net::{Bytes, FramePool};
 use std::fmt;
 
 /// Errors raised while decoding.
@@ -44,12 +44,24 @@ impl std::error::Error for WireError {}
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
+    /// The frames [`copy_frame`](Self::copy_frame) handed out, reused once
+    /// their receivers drop them.
+    frames: FramePool,
 }
 
 impl WireWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty writer whose frames come from `frames` — say, the
+    /// stock its bus shares among the nodes' writers ([`rtf_net::Bus::frames`]).
+    pub fn with_frames(frames: FramePool) -> Self {
+        Self {
+            buf: Vec::new(),
+            frames,
+        }
     }
 
     /// Empties the writer, keeping its allocation: an encode loop reuses
@@ -59,11 +71,13 @@ impl WireWriter {
         self.buf.clear();
     }
 
-    /// Copies the bytes written so far into a fresh immutable frame — one
-    /// allocation and one copy — and keeps the writer's buffer for the
-    /// next frame.
-    pub fn copy_frame(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.buf)
+    /// Copies the bytes written so far into an immutable frame and keeps
+    /// the writer's buffer for the next frame. The frame's storage comes
+    /// from the writer's [`FramePool`]: once its receivers have dropped a
+    /// frame, a later one reuses it, so a steady stream of frames costs a
+    /// copy each and no allocation.
+    pub fn copy_frame(&mut self) -> Bytes {
+        self.frames.copy(&self.buf)
     }
 
     /// Reserves a `u32` length prefix for a byte string whose length is
@@ -276,6 +290,7 @@ mod tests {
         pub(crate) fn with_capacity(cap: usize) -> Self {
             Self {
                 buf: Vec::with_capacity(cap),
+                frames: FramePool::default(),
             }
         }
     }

@@ -316,20 +316,19 @@ impl MultiZoneWorld {
     /// One tick of the whole world: optional zone travel, then every
     /// instance steps.
     pub fn step(&mut self) -> WorldTickStats {
-        // Zone travel: sampled once per second (every 25 ticks) to keep the
-        // handover rate interpretable as per-second probability. The
-        // handover is state-preserving: the source server exports the
-        // avatar to a server of the destination zone (ordinary §III-B
-        // migration across replication groups) and the client follows the
-        // redirect.
-        if self.config.zones > 1
-            && self.tick.is_multiple_of(25)
-            && self.config.travel_prob_per_sec > 0.0
-        {
+        // Zone travel: every user may set off every tick, with the per-tick
+        // share of the per-second probability, so the handovers of a second
+        // spread over its ticks instead of landing in one. The handover is
+        // state-preserving: the source server exports the avatar to a
+        // server of the destination zone (ordinary §III-B migration across
+        // replication groups) and the client follows the redirect.
+        if self.config.zones > 1 && self.config.travel_prob_per_sec > 0.0 {
+            let per_tick =
+                (self.config.travel_prob_per_sec * self.config.cluster.tick_interval).min(1.0);
             let mut moves: Vec<(usize, UserId, u32)> = Vec::new();
             for (idx, inst) in self.instances.iter().enumerate() {
                 for user in inst.cluster.users() {
-                    if self.rng.gen_bool(self.config.travel_prob_per_sec) {
+                    if self.rng.gen_bool(per_tick) {
                         let mut to = self.rng.gen_range(0..self.config.zones);
                         if to == inst.zone_idx {
                             to = (to + 1) % self.config.zones;
@@ -543,9 +542,34 @@ mod tests {
                 world.add_user_to_zone(z);
             }
         }
-        world.run(100); // 4 travel opportunities
+        world.run(100);
         assert_eq!(world.user_count(), 30, "handover never loses users");
         assert!(world.handovers > 0, "some users travelled");
+    }
+
+    #[test]
+    fn zone_travel_is_spread_over_the_ticks_of_a_second() {
+        let mut cfg = config();
+        cfg.travel_prob_per_sec = 0.5;
+        let mut world = MultiZoneWorld::new(cfg, model());
+        for z in 0..3 {
+            for _ in 0..20 {
+                world.add_user_to_zone(z);
+            }
+        }
+        let mut travel_ticks = Vec::new();
+        for tick in 0..200u64 {
+            let before = world.handovers;
+            world.step();
+            if world.handovers > before {
+                travel_ticks.push(tick);
+            }
+        }
+        // 60 users at 0.5 per second: ≈ 240 handovers over 8 s, so
+        // nearly every tick has one; a once-a-second draw would hit 8.
+        assert!(travel_ticks.len() > 50, "travel on {travel_ticks:?}");
+        assert!(travel_ticks.iter().any(|t| t % 25 != 0));
+        assert_eq!(world.user_count(), 60, "handover never loses users");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::{CloseReason, ConnStats, PeerId, Transport, TransportError, TransportEvent};
 use crate::{FRAME_OVERHEAD, SERVER_PEER};
 use rtf_net::Bytes;
-use rtf_net::{Bus, Endpoint, Message, NodeId};
+use rtf_net::{Bus, Endpoint, NodeId};
 use std::collections::BTreeMap;
 
 /// Server-side bus transport: accepts any node that sends to it as a
@@ -27,8 +27,6 @@ pub struct BusServerTransport {
     nodes: BTreeMap<PeerId, NodeId>,
     stats: BTreeMap<PeerId, ConnStats>,
     pending: Vec<TransportEvent>,
-    /// Receive buffer reused from poll to poll.
-    inbox: Vec<Message>,
 }
 
 impl BusServerTransport {
@@ -41,7 +39,6 @@ impl BusServerTransport {
             nodes: BTreeMap::new(),
             stats: BTreeMap::new(),
             pending: Vec::new(),
-            inbox: Vec::new(),
         }
     }
 
@@ -71,9 +68,7 @@ impl Transport for BusServerTransport {
 
     fn poll(&mut self, events: &mut Vec<TransportEvent>) {
         events.append(&mut self.pending);
-        let mut inbox = std::mem::take(&mut self.inbox);
-        self.endpoint.drain_into(&mut inbox);
-        for msg in inbox.drain(..) {
+        while let Some(msg) = self.endpoint.recv() {
             let peer = self.peer_for(msg.from, events);
             if let Some(stats) = self.stats.get_mut(&peer) {
                 stats.bytes_in += msg.payload.len() as u64 + FRAME_OVERHEAD;
@@ -84,7 +79,6 @@ impl Transport for BusServerTransport {
                 payload: msg.payload,
             });
         }
-        self.inbox = inbox;
     }
 
     fn send(&mut self, peer: PeerId, frame: Bytes) -> Result<(), TransportError> {
@@ -148,8 +142,6 @@ pub struct BusClientTransport {
     closed: bool,
     stats: ConnStats,
     pending: Vec<TransportEvent>,
-    /// Receive buffer reused from poll to poll.
-    inbox: Vec<Message>,
 }
 
 impl BusClientTransport {
@@ -162,7 +154,6 @@ impl BusClientTransport {
             closed: false,
             stats: ConnStats::default(),
             pending: Vec::new(),
-            inbox: Vec::new(),
         }
     }
 }
@@ -181,8 +172,7 @@ impl Transport for BusClientTransport {
             self.opened = true;
             events.push(TransportEvent::Opened { peer: SERVER_PEER });
         }
-        self.endpoint.drain_into(&mut self.inbox);
-        for msg in self.inbox.drain(..) {
+        while let Some(msg) = self.endpoint.recv() {
             if msg.from != self.server {
                 continue;
             }

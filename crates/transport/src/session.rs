@@ -37,6 +37,7 @@ use crate::{CloseReason, PeerId, Transport, TransportError, TransportEvent};
 use roia_obs::{TraceEvent, Tracer};
 use rtf_core::rows;
 use rtf_core::wire::{Wire, WireWriter};
+use rtf_net::FramePool;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A full-world keyframe goes out every this many ticks (and after every
@@ -307,7 +308,8 @@ pub struct ServerSession<T: Transport> {
     removed: Vec<u64>,
     events: Vec<TransportEvent>,
     /// This tick's keyframe and delta frames, each encoded when the first
-    /// peer needs it; only `ack_seq` is rewritten from peer to peer.
+    /// peer needs it; only `ack_seq` is rewritten from peer to peer. Their
+    /// frames come from one shared stock.
     keyframe: WireWriter,
     delta: WireWriter,
     stats: ServerStats,
@@ -316,6 +318,10 @@ pub struct ServerSession<T: Transport> {
 impl<T: Transport> ServerSession<T> {
     /// Wraps a server transport.
     pub fn new(transport: T, cfg: SessionConfig, tracer: Tracer) -> Self {
+        // Each peer's copy of the keyframe or the delta comes from one
+        // stock: when every avatar moves, a delta is as long as a
+        // keyframe, and one round of frames serves both kinds.
+        let mut frames = FramePool::default();
         Self {
             transport,
             cfg,
@@ -327,8 +333,8 @@ impl<T: Transport> ServerSession<T> {
             changed: Vec::new(),
             removed: Vec::new(),
             events: Vec::new(),
-            keyframe: WireWriter::new(),
-            delta: WireWriter::new(),
+            keyframe: WireWriter::with_frames(frames.share()),
+            delta: WireWriter::with_frames(frames),
             stats: ServerStats::default(),
         }
     }

@@ -1,11 +1,10 @@
 //! Steady-state allocation budget of the session over the bus.
 //!
-//! A frame outlives the tick that sends it (it waits in the receiver's
-//! inbox), so each frame sent costs one block. Everything else a round
-//! touches — receive buffers, event lists, the snapshot view, the mirror,
-//! the previous-positions buffer, the history ring, the two frame bodies —
-//! is borrowed or reused: a client tick allocates nothing beyond its input
-//! frame, and a server tick one block per snapshot. Rounds run the way a
+//! Everything a round touches — receive buffers, event lists, the snapshot
+//! view, the mirror, the previous-positions buffer, the history ring, the
+//! two frame bodies — is borrowed or reused, and every writer reuses the
+//! storage of the frames its receivers have dropped: neither a client
+//! tick nor a server tick allocates. Rounds run the way a
 //! cluster steps — each phase under a paused bus, traffic delivered at the
 //! phase boundary — so the bus's own delivery buffers stay outside the
 //! counted phases. This file is its own test binary because it installs a
@@ -66,7 +65,7 @@ fn counted(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn a_steady_round_allocates_its_frames_and_little_else() {
+fn a_steady_round_allocates_nothing() {
     const CLIENTS: u64 = 64;
     let bus = Bus::new();
     let transport = BusServerTransport::register(&bus, "server");
@@ -120,8 +119,8 @@ fn a_steady_round_allocates_its_frames_and_little_else() {
             }
         });
         bus.resume_delivery();
-        assert!(
-            blocks <= CLIENTS,
+        assert_eq!(
+            blocks, 0,
             "round {round}: {CLIENTS} client ticks asked for {blocks} blocks"
         );
 
@@ -131,8 +130,8 @@ fn a_steady_round_allocates_its_frames_and_little_else() {
         bus.resume_delivery();
         assert_eq!(u64::from(report.snapshots_sent), CLIENTS, "steady state");
         assert_eq!(u64::from(report.inputs_applied), CLIENTS, "steady state");
-        assert!(
-            blocks <= CLIENTS,
+        assert_eq!(
+            blocks, 0,
             "round {round}: server tick asked for {blocks} blocks"
         );
     }
