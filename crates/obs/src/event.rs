@@ -7,7 +7,10 @@
 //! `ZoneId` / enum types at the call site. Every event encodes to one
 //! flat JSON line ([`TraceEvent::to_json`]) and decodes back
 //! ([`TraceEvent::from_json`]), which is what the JSONL sink writes and
-//! the `explain` replay tool reads.
+//! the `explain` replay tool reads. The in-memory rings keep a second,
+//! compact binary encoding of the same fields instead (`put`/`take`:
+//! varints, raw `f64` bits, a slot mask for the per-task array, string
+//! indices), lossless and about half the size of the enum.
 //!
 //! # Causality
 //!
@@ -30,9 +33,10 @@ use std::fmt::Write;
 pub const TASK_SLOTS: usize = 10;
 
 /// Declares [`TraceEvent`] from one table — each variant's JSON name, its
-/// fields and their docs — and generates `name`, `tick`, `to_json` and
-/// `from_fields` from it, so a variant is written down exactly once. Every
-/// variant carries a `tick: u64`; every field type implements [`Field`].
+/// fields and their docs — and generates `name`, `tick`, `to_json`,
+/// `from_fields` and the binary pair `put`/`take` from it, so a variant is
+/// written down exactly once. Every variant carries a `tick: u64`; every
+/// field type implements [`Field`].
 macro_rules! trace_events {
     (
         $(#[$meta:meta])*
@@ -49,6 +53,28 @@ macro_rules! trace_events {
         pub enum TraceEvent {
             $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $ty,)* },)*
         }
+
+        /// The binary encoding's leading byte: the variant's position in
+        /// the table.
+        #[derive(Clone, Copy)]
+        enum Tag {
+            $($variant,)*
+        }
+
+        /// Every [`Tag`], indexed by its byte.
+        const TAGS: &[Tag] = &[$(Tag::$variant,)*];
+
+        /// Most bytes [`TraceEvent::put`] writes for any event.
+        pub(crate) const MAX_ENCODED: usize = {
+            let mut max = 0;
+            $(
+                let bytes = 1 $(+ <$ty as Field>::MAX_BYTES)*;
+                if bytes > max {
+                    max = bytes;
+                }
+            )*
+            max
+        };
 
         impl TraceEvent {
             /// Stable discriminator written as the `"ev"` field of the JSON
@@ -96,6 +122,28 @@ macro_rules! trace_events {
                         $($field: get(map, stringify!($field))?,)*
                     }),)*
                     _ => None,
+                }
+            }
+
+            /// Write the compact binary encoding: the tag byte, then each
+            /// field's [`Field::put`]. Writes at most [`MAX_ENCODED`] bytes.
+            pub(crate) fn put(&self, out: &mut Writer<'_>) {
+                match self {
+                    $(TraceEvent::$variant { $($field,)* } => {
+                        out.byte(Tag::$variant as u8);
+                        $(Field::put($field, out);)*
+                    })*
+                }
+            }
+
+            /// Decode the event [`TraceEvent::put`] wrote at the reader's
+            /// position and step past it. `None` for bytes `put` cannot
+            /// have written.
+            pub(crate) fn take(src: &mut Reader<'_>) -> Option<TraceEvent> {
+                match TAGS.get(usize::from(src.byte()?))? {
+                    $(Tag::$variant => Some(TraceEvent::$variant {
+                        $($field: Field::take(src)?,)*
+                    }),)*
                 }
             }
         }
@@ -462,58 +510,191 @@ trace_events! {
     }
 }
 
-/// How one field type is written into a JSON line and read back.
+/// How one field type is written into a JSON line and into the compact
+/// binary encoding, and read back from each. The binary pair is lossless:
+/// `take` returns the value `put` wrote, bit for bit.
 trait Field: Sized {
+    /// Most bytes `put` writes.
+    const MAX_BYTES: usize;
     fn encode(&self, out: &mut String);
     fn decode(value: &JsonValue) -> Option<Self>;
+    fn put(&self, out: &mut Writer<'_>);
+    fn take(src: &mut Reader<'_>) -> Option<Self>;
+}
+
+/// Bytes of the longest LEB128 varint (a `u64`).
+const VARINT_MAX: usize = 10;
+
+/// Where [`TraceEvent::put`] writes: room for at least [`MAX_ENCODED`]
+/// bytes, and the table of distinct strings `&'static str` fields index.
+pub(crate) struct Writer<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+    strings: &'a mut Vec<&'static str>,
+}
+
+impl<'a> Writer<'a> {
+    /// Write from the start of `buf`.
+    pub(crate) fn new(buf: &'a mut [u8], strings: &'a mut Vec<&'static str>) -> Self {
+        Writer {
+            buf,
+            pos: 0,
+            strings,
+        }
+    }
+
+    /// Bytes written so far.
+    pub(crate) fn written(&self) -> usize {
+        self.pos
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.buf[self.pos] = b;
+        self.pos += 1;
+    }
+
+    /// `v` as an LEB128 varint: seven bits a byte, low bits first.
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
+    }
+}
+
+/// A cursor over compact-encoded events and the string table their
+/// `&'static str` fields index into.
+pub(crate) struct Reader<'a> {
+    bytes: &'a [u8],
+    strings: &'a [&'static str],
+}
+
+impl<'a> Reader<'a> {
+    /// Read from the start of `bytes`.
+    pub(crate) fn new(bytes: &'a [u8], strings: &'a [&'static str]) -> Self {
+        Reader { bytes, strings }
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        let (&b, rest) = self.bytes.split_first()?;
+        self.bytes = rest;
+        Some(b)
+    }
+
+    fn varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Some(v);
+            }
+        }
+        None
+    }
 }
 
 impl Field for u64 {
+    const MAX_BYTES: usize = VARINT_MAX;
     fn encode(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
     fn decode(value: &JsonValue) -> Option<Self> {
         value.as_u64()
     }
+    fn put(&self, out: &mut Writer<'_>) {
+        out.varint(*self);
+    }
+    fn take(src: &mut Reader<'_>) -> Option<Self> {
+        src.varint()
+    }
 }
 
 impl Field for u32 {
+    const MAX_BYTES: usize = 5;
     fn encode(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
     fn decode(value: &JsonValue) -> Option<Self> {
         u32::try_from(value.as_u64()?).ok()
     }
+    fn put(&self, out: &mut Writer<'_>) {
+        out.varint(u64::from(*self));
+    }
+    fn take(src: &mut Reader<'_>) -> Option<Self> {
+        u32::try_from(src.varint()?).ok()
+    }
 }
 
+/// Zigzag-mapped, so small negative ids such as -1 take one byte.
 impl Field for i64 {
+    const MAX_BYTES: usize = VARINT_MAX;
     fn encode(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
     fn decode(value: &JsonValue) -> Option<Self> {
         value.as_i64()
     }
+    fn put(&self, out: &mut Writer<'_>) {
+        out.varint(((*self << 1) ^ (*self >> 63)) as u64);
+    }
+    fn take(src: &mut Reader<'_>) -> Option<Self> {
+        let z = src.varint()?;
+        Some((z >> 1) as i64 ^ -((z & 1) as i64))
+    }
 }
 
+/// The raw little-endian bits, so -0.0 and NaN payloads survive.
 impl Field for f64 {
+    const MAX_BYTES: usize = 8;
     fn encode(&self, out: &mut String) {
         export::write_num(out, *self);
     }
     fn decode(value: &JsonValue) -> Option<Self> {
         value.as_f64()
     }
+    fn put(&self, out: &mut Writer<'_>) {
+        out.buf[out.pos..out.pos + 8].copy_from_slice(&self.to_bits().to_le_bytes());
+        out.pos += 8;
+    }
+    fn take(src: &mut Reader<'_>) -> Option<Self> {
+        let (bits, rest) = src.bytes.split_first_chunk::<8>()?;
+        src.bytes = rest;
+        Some(f64::from_bits(u64::from_le_bytes(*bits)))
+    }
 }
 
+/// The index of the string in the ring's table of distinct strings seen,
+/// so a string outside [`VOCAB`] comes back too.
 impl Field for &'static str {
+    const MAX_BYTES: usize = VARINT_MAX;
     fn encode(&self, out: &mut String) {
         export::write_string(out, self);
     }
     fn decode(value: &JsonValue) -> Option<Self> {
         value.as_str().map(intern)
     }
+    fn put(&self, out: &mut Writer<'_>) {
+        let index = match out.strings.iter().position(|s| s == self) {
+            Some(index) => index,
+            None => {
+                out.strings.push(self);
+                out.strings.len() - 1
+            }
+        };
+        out.varint(index as u64);
+    }
+    fn take(src: &mut Reader<'_>) -> Option<Self> {
+        let index = usize::try_from(src.varint()?).ok()?;
+        src.strings.get(index).copied()
+    }
 }
 
+/// A varint mask of the slots whose bits are non-zero, then those slots:
+/// a tick span rarely charges more than 7 of its 10 tasks.
 impl Field for [f64; TASK_SLOTS] {
+    const MAX_BYTES: usize = 2 + TASK_SLOTS * f64::MAX_BYTES;
     fn encode(&self, out: &mut String) {
         out.push('[');
         for (i, v) in self.iter().enumerate() {
@@ -529,6 +710,33 @@ impl Field for [f64; TASK_SLOTS] {
         let mut slots = [0.0; TASK_SLOTS];
         for (slot, item) in slots.iter_mut().zip(value.as_arr()?) {
             *slot = item.as_f64().unwrap_or(0.0);
+        }
+        Some(slots)
+    }
+    fn put(&self, out: &mut Writer<'_>) {
+        let mut mask = 0;
+        for (i, v) in self.iter().enumerate() {
+            if v.to_bits() != 0 {
+                mask |= 1 << i;
+            }
+        }
+        out.varint(mask);
+        for v in self {
+            if v.to_bits() != 0 {
+                v.put(out);
+            }
+        }
+    }
+    fn take(src: &mut Reader<'_>) -> Option<Self> {
+        let mask = src.varint()?;
+        if mask >> TASK_SLOTS != 0 {
+            return None;
+        }
+        let mut slots = [0.0; TASK_SLOTS];
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if mask & 1 << i != 0 {
+                *slot = f64::take(src)?;
+            }
         }
         Some(slots)
     }
@@ -932,6 +1140,51 @@ mod tests {
                 TraceEvent::from_json(line).unwrap_or_else(|| panic!("failed to decode: {line}"));
             assert_eq!(back, ev, "round trip changed {line}");
         }
+    }
+
+    #[test]
+    fn binary_round_trip_preserves_every_event() {
+        let mut strings = Vec::new();
+        for (ev, _) in golden() {
+            let mut buf = [0; MAX_ENCODED];
+            let mut out = Writer::new(&mut buf, &mut strings);
+            ev.put(&mut out);
+            let written = out.written();
+            let mut src = Reader::new(&buf[..written], &strings);
+            assert_eq!(
+                TraceEvent::take(&mut src),
+                Some(ev.clone()),
+                "{}",
+                ev.name()
+            );
+            assert!(src.bytes.is_empty(), "{} left bytes unread", ev.name());
+        }
+        // One shared table: each distinct string is stored once.
+        let mut sorted = strings.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), strings.len());
+    }
+
+    #[test]
+    fn truncated_or_foreign_bytes_decode_to_none() {
+        let mut strings = Vec::new();
+        let mut buf = [0; MAX_ENCODED];
+        let mut out = Writer::new(&mut buf, &mut strings);
+        golden()[0].0.put(&mut out);
+        for cut in 0..out.written() {
+            let mut src = Reader::new(&buf[..cut], &strings);
+            assert_eq!(TraceEvent::take(&mut src), None, "cut at {cut}");
+        }
+        let unknown = [TAGS.len() as u8];
+        let mut src = Reader::new(&unknown, &strings);
+        assert_eq!(TraceEvent::take(&mut src), None, "unknown tag");
+        let mut src = Reader::new(&[Tag::ActionResolved as u8, 1, 1, 0], &[]);
+        assert_eq!(
+            TraceEvent::take(&mut src),
+            None,
+            "string index outside the table"
+        );
     }
 
     #[test]

@@ -24,8 +24,7 @@
 
 use crate::event::TraceEvent;
 use crate::export;
-use crate::sink::TraceSink;
-use std::collections::VecDeque;
+use crate::sink::{RingSink, TraceSink};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -58,9 +57,8 @@ impl FlightConfig {
 /// Bounded event recorder with deterministic postmortem dumps.
 pub struct FlightRecorder {
     config: FlightConfig,
-    events: VecDeque<TraceEvent>,
-    decisions: VecDeque<TraceEvent>,
-    dropped: u64,
+    events: RingSink,
+    decisions: RingSink,
     /// Most recent metrics snapshot (tick, JSON document).
     metrics: Option<(u64, String)>,
     /// Dump slots consumed so far; also the next bundle's sequence
@@ -74,10 +72,9 @@ impl FlightRecorder {
     /// until a trigger calls [`FlightRecorder::prepare_dump`].
     pub fn new(config: FlightConfig) -> Self {
         FlightRecorder {
-            events: VecDeque::with_capacity(RING_CAPACITY),
-            decisions: VecDeque::with_capacity(DECISION_CAPACITY),
+            events: RingSink::new(RING_CAPACITY),
+            decisions: RingSink::new(DECISION_CAPACITY),
             config,
-            dropped: 0,
             metrics: None,
             dumps: 0,
         }
@@ -94,7 +91,7 @@ impl FlightRecorder {
         self.dumps
     }
 
-    /// Snapshot phase of a dump: consumes a budget slot and clones the
+    /// Snapshot phase of a dump: consumes a budget slot and decodes the
     /// retained rings into an owned [`PostmortemBundle`]. Performs no
     /// I/O, so it is safe to call while holding the lock that guards a
     /// shared recorder; `None` when the dump budget is exhausted.
@@ -116,11 +113,11 @@ impl FlightRecorder {
         };
         Some(PostmortemBundle {
             dir: self.bundle_dir(seq),
-            events: self.events.iter().cloned().collect(),
-            decisions: self.decisions.iter().cloned().collect(),
+            events: self.events.events().collect(),
+            decisions: self.decisions.events().collect(),
             metrics_tick,
             metrics_doc,
-            ring_dropped: self.dropped,
+            ring_dropped: self.events.dropped(),
             marker: TraceEvent::PostmortemDumped {
                 tick,
                 cause,
@@ -207,16 +204,9 @@ fn write_jsonl<'a>(path: &Path, events: impl Iterator<Item = &'a TraceEvent>) ->
 
 impl TraceSink for FlightRecorder {
     fn record(&mut self, event: &TraceEvent) {
-        if self.events.len() == RING_CAPACITY {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event.clone());
+        self.events.record(event);
         if matches!(event, TraceEvent::Decision { .. }) {
-            if self.decisions.len() == DECISION_CAPACITY {
-                self.decisions.pop_front();
-            }
-            self.decisions.push_back(event.clone());
+            self.decisions.record(event);
         }
     }
 }
@@ -297,7 +287,7 @@ mod tests {
         // The early decision was evicted from the main ring but is
         // still retained in the decision ring.
         assert_eq!(fr.decisions.len(), 2);
-        assert_eq!(fr.decisions[0].tick(), 1);
+        assert_eq!(fr.decisions.events().next().map(|e| e.tick()), Some(1));
         for t in 0..DECISION_CAPACITY as u64 {
             fr.record(&decision(10_000 + t));
         }
@@ -306,7 +296,7 @@ mod tests {
             DECISION_CAPACITY,
             "decision ring bounded"
         );
-        assert_eq!(fr.decisions[0].tick(), 10_000);
+        assert_eq!(fr.decisions.events().next().map(|e| e.tick()), Some(10_000));
     }
 
     #[test]

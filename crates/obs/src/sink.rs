@@ -9,7 +9,7 @@
 //! writer (the replayable format the `explain` tool consumes).
 
 // lint: allow-file(hot_lock, "the per-sink mutex is the tracing boundary's documented contract (emit serialises through one lock); parallel fan-out swaps in private per-worker buffer sinks, so this mutex is uncontended whenever workers run")
-use crate::event::TraceEvent;
+use crate::event::{Reader, TraceEvent, Writer, MAX_ENCODED};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -25,9 +25,37 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
+/// Largest block of a ring's byte storage.
+const BLOCK_BYTES: usize = 32 * 1024;
+
+/// One block of a ring's storage: whole encoded events, back to back.
+struct Block {
+    bytes: Box<[u8]>,
+    /// Bytes written.
+    used: usize,
+    /// Events encoded in the written bytes.
+    events: usize,
+}
+
 /// Fixed-capacity in-memory ring of the most recent events.
+///
+/// Each event is kept in its compact binary encoding (about 70 B for a
+/// typical tick span, against 128 B for the enum) in byte blocks of up to
+/// 32 KiB, and decoded only when read back. A block is written until it
+/// has less room than the largest event, and recycled once every event in
+/// it is evicted, so storage stays within a block or two of the live
+/// bytes. Nothing is reserved up front; once the ring has been full a
+/// record allocates nothing, as long as events keep their size.
 pub struct RingSink {
-    buf: VecDeque<TraceEvent>,
+    blocks: VecDeque<Block>,
+    /// Events at the front of the first block that are already evicted.
+    evicted: usize,
+    /// A recycled block for the tail's next one.
+    spare: Option<Box<[u8]>>,
+    /// The distinct strings the events' `&'static str` fields index.
+    strings: Vec<&'static str>,
+    block_bytes: usize,
+    len: usize,
     capacity: usize,
     dropped: u64,
 }
@@ -35,21 +63,30 @@ pub struct RingSink {
 impl RingSink {
     /// A ring holding at most `capacity` events (oldest evicted first).
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         RingSink {
-            buf: VecDeque::with_capacity(capacity),
-            capacity: capacity.max(1),
+            blocks: VecDeque::new(),
+            evicted: 0,
+            spare: None,
+            strings: Vec::new(),
+            // About a sixteenth of the ring at the largest event size, so a
+            // small ring's partly evicted block and spare stay small.
+            block_bytes: (capacity.saturating_mul(MAX_ENCODED) / 16)
+                .clamp(MAX_ENCODED, BLOCK_BYTES),
+            len: 0,
+            capacity,
             dropped: 0,
         }
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True when no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Events evicted due to capacity since creation.
@@ -59,17 +96,80 @@ impl RingSink {
 
     /// Drain and return all retained events, oldest first.
     pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.buf.drain(..).collect()
+        let mut events = Vec::with_capacity(self.len);
+        events.extend(self.events());
+        if let Some(first) = self.blocks.pop_front() {
+            self.spare.get_or_insert(first.bytes);
+        }
+        self.blocks.clear();
+        self.evicted = 0;
+        self.len = 0;
+        events
+    }
+
+    /// The retained events, decoded, oldest first.
+    pub(crate) fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let mut evicted = self.evicted;
+        self.blocks.iter().flat_map(move |block| {
+            let mut src = Reader::new(&block.bytes[..block.used], &self.strings);
+            (0..block.events)
+                .map(move |_| {
+                    TraceEvent::take(&mut src).expect("a block holds only what `record` wrote")
+                })
+                .skip(std::mem::take(&mut evicted))
+        })
+    }
+
+    fn new_block(&self) -> Box<[u8]> {
+        vec![0; self.block_bytes].into_boxed_slice()
+    }
+
+    /// Evict the oldest event; its block is recycled once it holds no
+    /// live event.
+    fn evict_oldest(&mut self) {
+        self.len -= 1;
+        self.dropped += 1;
+        self.evicted += 1;
+        if self
+            .blocks
+            .front()
+            .is_some_and(|b| b.events == self.evicted)
+        {
+            if let Some(freed) = self.blocks.pop_front() {
+                self.spare.get_or_insert(freed.bytes);
+            }
+            self.evicted = 0;
+        }
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&mut self, event: &TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
+        if self.len == self.capacity {
+            self.evict_oldest();
         }
-        self.buf.push_back(event.clone());
+        let room = |b: &Block| b.bytes.len() - b.used >= MAX_ENCODED;
+        if !self.blocks.back().is_some_and(room) {
+            let bytes = self.spare.take().unwrap_or_else(|| self.new_block());
+            self.blocks.push_back(Block {
+                bytes,
+                used: 0,
+                events: 0,
+            });
+        }
+        if let Some(tail) = self.blocks.back_mut() {
+            let mut out = Writer::new(&mut tail.bytes[tail.used..], &mut self.strings);
+            event.put(&mut out);
+            tail.used += out.written();
+            tail.events += 1;
+        }
+        self.len += 1;
+        // The first time the ring fills, set a block aside: from here on
+        // the head frees a block before the tail needs the next one.
+        if self.len == self.capacity && self.dropped == 0 && self.spare.is_none() {
+            self.spare = Some(self.new_block());
+            self.blocks.reserve(1);
+        }
     }
 }
 
@@ -284,13 +384,6 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl RingSink {
-        /// Events currently retained, oldest first.
-        pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-            self.buf.iter()
-        }
-    }
 
     fn ev(tick: u64) -> TraceEvent {
         TraceEvent::ServerBooted { tick, server: 0 }
