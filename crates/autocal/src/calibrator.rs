@@ -179,12 +179,6 @@ impl OnlineCalibrator {
     /// calibration) and a fresh registry.
     pub fn new(initial: ScalabilityModel, config: CalibratorConfig) -> Self {
         let registry = Arc::new(ModelRegistry::new(initial, config.registry));
-        Self::with_registry(registry, config)
-    }
-
-    /// Creates a calibrator feeding an externally shared registry (the
-    /// handle policies also hold).
-    pub fn with_registry(registry: Arc<ModelRegistry>, config: CalibratorConfig) -> Self {
         Self {
             windows: WindowStore::new(WINDOW_CAPACITY),
             rls: BTreeMap::new(),

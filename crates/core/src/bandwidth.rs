@@ -47,7 +47,7 @@ impl BandwidthParams {
     /// Predicted bytes *received* by one server per tick: inputs from its
     /// own `n/l` users plus replica updates for the `n − n/l` shadow
     /// entities.
-    pub fn bytes_in_per_tick(&self, load: ZoneLoad) -> f64 {
+    fn bytes_in_per_tick(&self, load: ZoneLoad) -> f64 {
         let l = f64::from(load.replicas);
         let n = f64::from(load.users);
         let active = n / l;

@@ -15,43 +15,19 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Raw measurement series for one model parameter: CPU seconds observed at
-/// various user counts. The series is capacity-bounded: past the cap the
-/// oldest observations are evicted, so long-running collectors (online
-/// calibration streams every tick) hold a sliding window instead of
-/// growing without bound. The default capacity is effectively unlimited —
-/// offline campaigns keep everything.
-#[derive(Debug, Clone, PartialEq)]
+/// various user counts. An offline campaign keeps every observation; online
+/// calibration keeps its own bounded windows (`roia-autocal`).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParamSamples {
     /// User counts at which the parameter was sampled.
     pub user_counts: Vec<f64>,
     /// Observed CPU time (seconds) per entity/migration at that user count.
     pub seconds: Vec<f64>,
-    capacity: usize,
-}
-
-impl Default for ParamSamples {
-    fn default() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
 }
 
 impl ParamSamples {
-    /// An empty series keeping at most `capacity` observations.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "a sample series needs room for one sample");
-        Self {
-            user_counts: Vec::new(),
-            seconds: Vec::new(),
-            capacity,
-        }
-    }
-
-    /// Appends one observation, evicting the oldest past capacity.
+    /// Appends one observation.
     pub fn push(&mut self, users: f64, seconds: f64) {
-        if self.user_counts.len() == self.capacity {
-            self.user_counts.remove(0);
-            self.seconds.remove(0);
-        }
         self.user_counts.push(users);
         self.seconds.push(seconds);
     }
@@ -66,53 +42,28 @@ impl ParamSamples {
         self.user_counts.is_empty()
     }
 
-    /// Merges another series into this one, respecting *this* series'
-    /// capacity (the newest observations win).
+    /// Appends every observation of another series.
     pub fn extend(&mut self, other: &ParamSamples) {
-        for (&users, &seconds) in other.user_counts.iter().zip(&other.seconds) {
-            self.push(users, seconds);
-        }
+        self.user_counts.extend_from_slice(&other.user_counts);
+        self.seconds.extend_from_slice(&other.seconds);
     }
 }
 
-/// A full measurement campaign: samples per parameter. Series created by
-/// [`Measurements::record`] inherit the campaign's per-parameter capacity
-/// ([`Measurements::with_capacity`]; unbounded by default).
-#[derive(Debug, Clone, PartialEq)]
+/// A full measurement campaign: samples per parameter.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Measurements {
     series: BTreeMap<ParamKind, ParamSamples>,
-    per_param_capacity: usize,
-}
-
-impl Default for Measurements {
-    fn default() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
 }
 
 impl Measurements {
-    /// Creates an empty campaign retaining every observation.
+    /// Creates an empty campaign.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty campaign whose series each keep at most
-    /// `per_param_capacity` observations (oldest evicted first).
-    pub fn with_capacity(per_param_capacity: usize) -> Self {
-        assert!(per_param_capacity >= 1);
-        Self {
-            series: BTreeMap::new(),
-            per_param_capacity,
-        }
-    }
-
     /// Appends an observation for `kind`.
     pub fn record(&mut self, kind: ParamKind, users: f64, seconds: f64) {
-        let capacity = self.per_param_capacity;
-        self.series
-            .entry(kind)
-            .or_insert_with(|| ParamSamples::with_capacity(capacity))
-            .push(users, seconds);
+        self.series.entry(kind).or_default().push(users, seconds);
     }
 
     /// The samples recorded for `kind`, if any.
@@ -120,15 +71,10 @@ impl Measurements {
         self.series.get(&kind)
     }
 
-    /// Merges another campaign into this one (this campaign's retention
-    /// caps apply).
+    /// Merges another campaign into this one.
     pub fn merge(&mut self, other: &Measurements) {
-        let capacity = self.per_param_capacity;
         for (kind, samples) in &other.series {
-            self.series
-                .entry(*kind)
-                .or_insert_with(|| ParamSamples::with_capacity(capacity))
-                .extend(samples);
+            self.series.entry(*kind).or_default().extend(samples);
         }
     }
 
@@ -245,13 +191,6 @@ pub fn calibrate(measurements: &Measurements) -> Result<Calibration, Calibration
 mod tests {
     use super::*;
 
-    impl ParamSamples {
-        /// Maximum observations retained.
-        pub(crate) fn capacity(&self) -> usize {
-            self.capacity
-        }
-    }
-
     /// Generates noiseless samples from a ground-truth polynomial.
     fn synth(kind: ParamKind, coeffs: &[f64], meas: &mut Measurements) {
         let truth = CostFn::from_coefficients(coeffs);
@@ -305,45 +244,6 @@ mod tests {
         }
         let cal = calibrate(&meas).unwrap();
         assert_eq!(cal.fits.len(), 9);
-    }
-
-    #[test]
-    fn bounded_series_evicts_oldest() {
-        let mut s = ParamSamples::with_capacity(3);
-        for i in 0..5 {
-            s.push(i as f64, i as f64 * 1e-6);
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.user_counts, vec![2.0, 3.0, 4.0], "oldest two evicted");
-        assert_eq!(s.capacity(), 3);
-    }
-
-    #[test]
-    fn bounded_campaign_caps_each_parameter() {
-        let mut meas = Measurements::with_capacity(10);
-        for i in 0..100 {
-            meas.record(ParamKind::Su, i as f64, 1e-6);
-            meas.record(ParamKind::Ua, i as f64, 2e-6);
-        }
-        assert_eq!(meas.total_samples(), 20);
-        let su = meas.samples(ParamKind::Su).unwrap();
-        assert_eq!(su.user_counts.first(), Some(&90.0), "window slid forward");
-    }
-
-    #[test]
-    fn merge_respects_receiver_capacity() {
-        let mut bounded = Measurements::with_capacity(5);
-        let mut big = Measurements::new();
-        for i in 0..50 {
-            big.record(ParamKind::Aoi, i as f64, 1e-6);
-        }
-        bounded.merge(&big);
-        assert_eq!(bounded.total_samples(), 5);
-        assert_eq!(
-            bounded.samples(ParamKind::Aoi).unwrap().user_counts,
-            vec![45.0, 46.0, 47.0, 48.0, 49.0],
-            "newest observations win"
-        );
     }
 
     #[test]

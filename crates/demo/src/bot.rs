@@ -81,7 +81,7 @@ impl Bot {
 
     /// The attack probability for the current number of visible targets —
     /// linear in the target count until the cap (§V-A's observation).
-    pub fn attack_probability(&self) -> f64 {
+    fn attack_probability(&self) -> f64 {
         (self.behavior.attack_base + self.behavior.attack_per_target * self.visible.len() as f64)
             .min(self.behavior.attack_cap)
     }

@@ -6,7 +6,9 @@
 //! simulation needs no extra pumping. Two faults can be injected: a
 //! bus-wide drop probability and jitter window ([`Bus::set_link_faults`]),
 //! and isolation of a node ([`Bus::set_isolated`]). Jittered messages wait
-//! on their link until the driver's [`Bus::advance`] reaches their tick.
+//! in the bus until the driver's [`Bus::advance`] reaches their tick. The
+//! bus counts two totals, messages sent and messages dropped
+//! ([`Bus::stats`]).
 //!
 //! A lock-step driver that ticks nodes concurrently instead calls
 //! [`Bus::pause_delivery`] before the phase and [`Bus::resume_delivery`]
@@ -18,22 +20,25 @@
 //! interleaving — which is what makes a parallel tick byte-identical to a
 //! serial one.
 //!
-//! The state is a table of node rows. A row's slot is fixed while its node
-//! is on the bus, and the [`Endpoint`] remembers it, so neither a send nor
-//! a drain searches the table; a departed node's slot is reused, so the
-//! table does not grow with departed ids. A row owns its node's outgoing
-//! links, sorted by destination, and each link remembers its destination's
-//! slot. Messages waiting for their receivers sit in one bus-wide arena as
-//! a list per receiver, so a node's inbox is held once, in the arena, and
-//! costs nothing when empty. A paused send appends to its destination's
-//! staged list; the flush orders each staged list by sender (stably, so
-//! each link keeps its program order) and splices it onto the inbox. A
-//! link holds a queue only while jitter holds traffic back. Once the arena
-//! and the flush's scratch buffers have grown, neither a send, a drain nor
-//! a flush allocates.
+//! The state is a table of node rows and an index of `(id, slot)` pairs
+//! sorted by id. A row's slot is fixed while its node is on the bus, and
+//! the [`Endpoint`] remembers it, so a drain does not search; a send finds
+//! its destination's slot in the index. A node that leaves frees its row
+//! and index entry at once, and the next node to register reuses the row,
+//! so the table does not grow with departed ids. Messages waiting for
+//! their receivers sit in one bus-wide arena as a list per receiver, so a
+//! node's inbox is held once, in the arena, and costs nothing when empty.
+//! A paused send appends to its destination's staged list; the flush
+//! orders each staged list by sender (stably, so each link keeps its
+//! program order) and splices it onto the inbox. A link keeps state only
+//! under faults: its fault generator is made on the first send that
+//! samples loss or jitter and kept while both its ends are on the bus, and
+//! what jitter holds back waits in a map keyed by `(from, to)` until it is
+//! due. Once the arena and the flush's scratch buffers have grown, neither
+//! a send, a drain nor a flush on a fault-free bus allocates.
 
 // lint: allow-file(hot_lock, "the coarse bus mutex is the simulated network itself: every critical section is a short list push/pop with no I/O or allocation bursts, and the pause/resume staging protocol is what gives parallel ticks their deterministic delivery order")
-use crate::link::{Admitted, Faults, Link};
+use crate::link::{Faults, Link};
 use crate::{Bytes, FramePool, NodeId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -160,9 +165,13 @@ impl Arena {
         Some((node.from, node.payload.take()?))
     }
 
-    /// Drops every message on `list`.
-    fn clear(&mut self, list: &mut List) {
-        while self.pop(list).is_some() {}
+    /// Drops every message on `list`; returns how many there were.
+    fn clear(&mut self, list: &mut List) -> u64 {
+        let mut dropped = 0;
+        while self.pop(list).is_some() {
+            dropped += 1;
+        }
+        dropped
     }
 
     /// Moves every message of `src` to the end of `dst`.
@@ -177,46 +186,16 @@ impl Arena {
         dst.tail = src.tail;
         *src = List::EMPTY;
     }
-
-    /// The messages of `list`, oldest first.
-    fn iter(&self, list: List) -> impl Iterator<Item = &Mail> + '_ {
-        let mut at = list.head;
-        std::iter::from_fn(move || {
-            let node = self.nodes.get(at as usize)?;
-            at = node.next;
-            Some(node)
-        })
-    }
 }
 
-/// Whether a row's node is on the bus.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Presence {
-    /// Registered.
-    Live,
-    /// Unregistered; the row stays while its links carry traffic.
-    Departed,
-    /// An empty slot, waiting for the next registration.
-    Free,
-}
-
-/// A node's row: its inbox, what a paused phase staged for it, and its
-/// outgoing links.
+/// A node's row: its inbox and what a paused phase staged for it.
 struct Row {
-    id: NodeId,
-    presence: Presence,
+    /// The node in this row; `None` while the row is free.
+    id: Option<NodeId>,
     /// Delivered messages the endpoint has not received yet.
     inbox: List,
     /// Messages staged for this node in a paused phase, in send order.
     staged: List,
-    /// Outgoing links, sorted by destination.
-    links: Vec<Link>,
-}
-
-impl Row {
-    fn live(&self, id: NodeId) -> bool {
-        self.id == id && self.presence == Presence::Live
-    }
 }
 
 #[derive(Default)]
@@ -226,31 +205,33 @@ struct BusInner {
     rows: Vec<Row>,
     /// Free slots of `rows`.
     free_rows: Vec<u32>,
-    /// `(id, slot)` of every row in use, sorted by id (ids are handed out
-    /// in ascending order, so registering appends).
+    /// `(id, slot)` of every registered node, sorted by id (ids are handed
+    /// out in ascending order, so registering appends).
     index: Vec<(NodeId, u32)>,
     mail: Arena,
     /// The loss and jitter every link samples.
     faults: Faults,
     /// Seed mixed into every link's fault generator.
     fault_seed: u64,
+    /// The fault generator of every link that has sampled loss or jitter,
+    /// while both its ends are on the bus.
+    links: BTreeMap<(NodeId, NodeId), Link>,
     /// Nodes cut off from everyone (a network-isolated machine).
     isolated: BTreeSet<NodeId>,
     /// While `true`, `send` stages traffic; [`Bus::resume_delivery`]
     /// delivers it.
     deferred: bool,
-    /// Rows with a non-empty staged list, each once.
+    /// Rows with a non-empty staged list. A row whose node left and whose
+    /// slot a new node took within one paused phase may be here twice; the
+    /// second visit finds its list empty.
     staged_rows: Vec<u32>,
     /// What jitter holds back, per link `(from, to)`, oldest first; a
-    /// link is here only while it holds something.
+    /// link is here only while it holds something, also after an end of it
+    /// left.
     held: BTreeMap<(NodeId, NodeId), VecDeque<Held>>,
-    /// Departed nodes whose rows or links could not be forgotten yet.
-    departed: Vec<NodeId>,
     /// Scratch of the flush's sort: `(sender, position, arena node)`.
     order: Vec<(NodeId, u32, u32)>,
-    /// Counters of the links forgotten so far, so the bus-wide totals
-    /// never go backwards.
-    retired: LinkTraffic,
+    traffic: TrafficStats,
 }
 
 /// A message jitter holds back until `due_tick`.
@@ -268,30 +249,36 @@ fn grow<T>(v: &mut Vec<T>) {
     }
 }
 
-/// Derives a per-link fault seed from the bus seed and the link's ends.
-fn link_seed(fault_seed: u64, from: NodeId, to: NodeId) -> u64 {
-    roia_rng::mix(fault_seed ^ ((from.0 as u64) << 32) ^ (to.0 as u64) ^ 0x5851_F42D_4C95_7F2D)
-}
-
 impl BusInner {
-    /// Slot of `id`, registered or departed.
+    /// Slot of `id` while it is registered.
     fn slot(&self, id: NodeId) -> Option<u32> {
         let at = self.index.binary_search_by_key(&id, |&(id, _)| id).ok()?;
         self.index.get(at).map(|&(_, slot)| slot)
     }
 
-    /// Slot of `id` while it is registered.
-    fn live_slot(&self, id: NodeId) -> Option<u32> {
-        self.slot(id).filter(|&s| self.is_live(s, id))
-    }
-
     fn is_live(&self, slot: u32, id: NodeId) -> bool {
-        self.rows.get(slot as usize).is_some_and(|r| r.live(id))
+        self.rows
+            .get(slot as usize)
+            .is_some_and(|r| r.id == Some(id))
     }
 
     /// Whether traffic `from → to` is currently blackholed.
     fn blocked(&self, from: NodeId, to: NodeId) -> bool {
         self.isolated.contains(&from) || self.isolated.contains(&to)
+    }
+
+    /// The ticks jitter holds a message `from → to` back, or `None` if the
+    /// drop probability loses it. The link's generator is made on the
+    /// first send that samples a fault.
+    fn sample(&mut self, from: NodeId, to: NodeId) -> Option<u64> {
+        if !self.faults.active() {
+            return Some(0);
+        }
+        let seed = self.fault_seed;
+        self.links
+            .entry((from, to))
+            .or_insert_with(|| Link::new(seed, from, to))
+            .sample(self.faults)
     }
 
     /// Sends from the node in `slot`, which must be `from` and registered.
@@ -305,55 +292,21 @@ impl BusInner {
         if !self.is_live(slot, from) {
             return Err(NetError::UnknownSender(from));
         }
-        let found = self
-            .rows
-            .get(slot as usize)
-            .map(|row| row.links.binary_search_by_key(&to, |l| l.to))
-            .ok_or(NetError::UnknownSender(from))?;
-        let k = match found {
-            Ok(k) => k,
-            Err(k) => {
-                let dest = self.live_slot(to).ok_or(NetError::UnknownNode(to))?;
-                let link = Link::new(to, dest, link_seed(self.fault_seed, from, to));
-                let row = self
-                    .rows
-                    .get_mut(slot as usize)
-                    .ok_or(NetError::UnknownSender(from))?;
-                grow(&mut row.links);
-                row.links.insert(k, link);
-                k
-            }
-        };
-        let dest = self
-            .rows
-            .get(slot as usize)
-            .and_then(|row| row.links.get(k))
-            .map_or(NIL, |link| link.dest);
-        if !self.is_live(dest, to) {
-            return Err(NetError::UnknownNode(to));
-        }
-        let blocked = self.blocked(from, to);
-        let (now, faults, deferred) = (self.now_tick, self.faults, self.deferred);
-        let row = self
-            .rows
-            .get_mut(slot as usize)
-            .ok_or(NetError::UnknownSender(from))?;
-        let link = row.links.get_mut(k).ok_or(NetError::UnknownNode(to))?;
-        if blocked {
-            link.drop_at_send(payload.len() as u64);
+        let dest = self.slot(to).ok_or(NetError::UnknownNode(to))?;
+        self.traffic.sent += 1;
+        if self.blocked(from, to) {
+            self.traffic.dropped += 1;
             return Ok(());
         }
-        let held_ahead = self.held.contains_key(&(from, to));
-        let payload = match link.admit(now, payload, faults, held_ahead) {
-            Admitted::Now(payload) => payload,
-            Admitted::Held { due_tick, payload } => {
-                let queue = self.held.entry((from, to)).or_default();
-                queue.push_back(Held { due_tick, payload });
-                return Ok(());
-            }
-            Admitted::Lost => return Ok(()),
+        let Some(delay) = self.sample(from, to) else {
+            self.traffic.dropped += 1;
+            return Ok(());
         };
-        if deferred {
+        if delay > 0 || self.held.contains_key(&(from, to)) {
+            let due_tick = self.now_tick + delay;
+            let queue = self.held.entry((from, to)).or_default();
+            queue.push_back(Held { due_tick, payload });
+        } else if self.deferred {
             self.stage(dest, from, payload);
         } else if let Some(row) = self.rows.get_mut(dest as usize) {
             self.mail.push(&mut row.inbox, from, payload);
@@ -375,7 +328,7 @@ impl BusInner {
     /// Delivers everything staged and everything jitter held that is due:
     /// each destination receives its messages by ascending sender, each
     /// sender's in program order — what flushing every link in `(from, to)`
-    /// order delivers. Then forgets what departed nodes left behind.
+    /// order delivers.
     fn deliver_pending(&mut self) {
         let mut held = std::mem::take(&mut self.held);
         held.retain(|&(from, to), queue| self.release_due(from, to, queue));
@@ -386,52 +339,30 @@ impl BusInner {
             self.deliver_staged(slot);
         }
         self.staged_rows = staged;
-
-        let mut departed = std::mem::take(&mut self.departed);
-        departed.retain(|&id| !self.reap(id));
-        self.departed = departed;
     }
 
     /// Stages what link `from → to` holds in `queue` that is due now, after
-    /// what the link's sender staged in this phase; returns whether the
-    /// link still holds traffic.
+    /// what the link's sender staged in this phase, or counts it as dropped
+    /// if `to` has left; returns whether the link still holds traffic.
     fn release_due(&mut self, from: NodeId, to: NodeId, queue: &mut VecDeque<Held>) -> bool {
         let now = self.now_tick;
-        let found = self.slot(from).and_then(|slot| {
-            let row = self.rows.get(slot as usize)?;
-            let k = row.links.binary_search_by_key(&to, |l| l.to).ok()?;
-            Some((slot as usize, k, row.links.get(k)?.dest))
-        });
-        let Some((slot, k, dest)) = found else {
-            return false;
-        };
-        let live = self.is_live(dest, to);
+        let dest = self.slot(to);
         while let Some(held) = queue.pop_front_if(|h| h.due_tick <= now) {
-            if let Some(link) = self.rows.get_mut(slot).and_then(|r| r.links.get_mut(k)) {
-                link.released(held.payload.len() as u64, live);
-            }
-            if live {
-                self.stage(dest, from, held.payload);
+            match dest {
+                Some(dest) => self.stage(dest, from, held.payload),
+                None => self.traffic.dropped += 1,
             }
         }
         !queue.is_empty()
     }
 
     /// Orders the staged list of the row in `slot` by sender and moves it
-    /// onto the row's inbox — or, if the row's node has left, counts every
-    /// message on it as dropped on its link.
+    /// onto the row's inbox.
     fn deliver_staged(&mut self, slot: u32) {
         let Some(row) = self.rows.get_mut(slot as usize) else {
             return;
         };
         let mut staged = std::mem::replace(&mut row.staged, List::EMPTY);
-        let (to, live) = (row.id, row.presence == Presence::Live);
-        if !live {
-            while let Some((from, payload)) = self.mail.pop(&mut staged) {
-                self.count_lost(from, to, payload.len() as u64);
-            }
-            return;
-        }
         let mut order = std::mem::take(&mut self.order);
         order.clear();
         let mut at = staged.head;
@@ -453,69 +384,6 @@ impl BusInner {
         if let Some(row) = self.rows.get_mut(slot as usize) {
             self.mail.splice(&mut row.inbox, &mut staged);
         }
-    }
-
-    /// Counts a staged message whose destination left before the flush as
-    /// dropped on its link (a real socket close eats those bytes; they are
-    /// lost traffic, not delivered). The link is still there: nothing is
-    /// forgotten while a paused phase has staged traffic.
-    fn count_lost(&mut self, from: NodeId, to: NodeId, bytes: u64) {
-        let link = self.slot(from).and_then(|slot| {
-            let row = self.rows.get_mut(slot as usize)?;
-            let k = row.links.binary_search_by_key(&to, |l| l.to).ok()?;
-            row.links.get_mut(k)
-        });
-        if let Some(link) = link {
-            link.messages_dropped += 1;
-            link.bytes_delivered = link.bytes_delivered.saturating_sub(bytes);
-        }
-    }
-
-    /// Forgets what departed node `id` left behind: its links and the
-    /// links to it that hold nothing, and its row once it has no links
-    /// (node ids are never reused, so those links can never carry traffic
-    /// again). Returns whether nothing of it is left.
-    fn reap(&mut self, id: NodeId) -> bool {
-        let mut left = false;
-        let Self {
-            rows,
-            retired,
-            index,
-            free_rows,
-            held,
-            ..
-        } = self;
-        for (slot, row) in rows.iter_mut().enumerate() {
-            if row.presence == Presence::Free {
-                continue;
-            }
-            if row.id == id {
-                row.links.retain(|link| {
-                    let busy = held.contains_key(&(id, link.to));
-                    if !busy {
-                        retired.absorb(link);
-                    }
-                    busy
-                });
-            } else if let Ok(k) = row.links.binary_search_by_key(&id, |l| l.to) {
-                if !held.contains_key(&(row.id, id)) {
-                    let link = row.links.remove(k);
-                    retired.absorb(&link);
-                }
-            }
-            // A departed row goes with its last link; it has no mail left
-            // (its staged list was delivered or counted by the flush).
-            if row.presence == Presence::Departed && row.links.is_empty() && row.staged.is_empty() {
-                row.presence = Presence::Free;
-                if let Ok(at) = index.binary_search_by_key(&row.id, |&(id, _)| id) {
-                    index.remove(at);
-                }
-                free_rows.push(slot as u32);
-            }
-            left |= (row.id == id && row.presence != Presence::Free)
-                || row.links.binary_search_by_key(&id, |l| l.to).is_ok();
-        }
-        !left
     }
 }
 
@@ -559,19 +427,15 @@ impl Bus {
             None => {
                 grow(&mut inner.rows);
                 inner.rows.push(Row {
-                    id,
-                    presence: Presence::Free,
+                    id: None,
                     inbox: List::EMPTY,
                     staged: List::EMPTY,
-                    links: Vec::new(),
                 });
                 (inner.rows.len() - 1) as u32
             }
         };
         if let Some(row) = inner.rows.get_mut(slot as usize) {
-            // A reused row keeps its (empty) link table's capacity.
-            row.id = id;
-            row.presence = Presence::Live;
+            row.id = Some(id);
         }
         grow(&mut inner.index);
         inner.index.push((id, slot));
@@ -582,25 +446,24 @@ impl Bus {
         }
     }
 
-    /// Removes an endpoint; in-flight messages to it are dropped on
-    /// arrival (and counted as dropped). Its idle links are forgotten at
-    /// once, the others as soon as they have drained. Dropping the
-    /// [`Endpoint`] does this too.
+    /// Removes an endpoint. Its unread inbox goes, what a paused phase
+    /// staged for it counts as dropped, and its row, index entry and links
+    /// are freed at once; what jitter still holds for it counts as dropped
+    /// when it falls due. Dropping the [`Endpoint`] does this too.
     pub fn unregister(&self, id: NodeId) {
         let mut guard = self.lock();
         let inner = &mut *guard;
-        let Some(slot) = inner.live_slot(id) else {
+        let Ok(at) = inner.index.binary_search_by_key(&id, |&(id, _)| id) else {
             return;
         };
+        let (_, slot) = inner.index.remove(at);
         if let Some(row) = inner.rows.get_mut(slot as usize) {
-            row.presence = Presence::Departed;
+            row.id = None;
             inner.mail.clear(&mut row.inbox);
+            inner.traffic.dropped += inner.mail.clear(&mut row.staged);
         }
-        // While a paused phase has staged traffic, links may carry
-        // messages only the flush sorts out: forget nothing until then.
-        if !inner.staged_rows.is_empty() || !inner.reap(id) {
-            inner.departed.push(id);
-        }
+        inner.free_rows.push(slot);
+        inner.links.retain(|&(from, to), _| from != id && to != id);
     }
 
     /// Sets the seed from which per-link fault generators derive. Existing
@@ -609,10 +472,8 @@ impl Bus {
     pub fn set_fault_seed(&self, seed: u64) {
         let mut inner = self.lock();
         inner.fault_seed = seed;
-        for row in &mut inner.rows {
-            for link in &mut row.links {
-                link.reseed(link_seed(seed, row.id, link.to));
-            }
+        for (&(from, to), link) in &mut inner.links {
+            *link = Link::new(seed, from, to);
         }
     }
 
@@ -635,7 +496,7 @@ impl Bus {
 
     /// Cuts a node off from (or reconnects it to) everyone. Traffic to or
     /// from an isolated node is blackholed: `send` succeeds (the sender
-    /// cannot tell) but nothing arrives, and the link counts it as dropped.
+    /// cannot tell) but nothing arrives, and the bus counts it as dropped.
     pub fn set_isolated(&self, node: NodeId, active: bool) {
         let mut inner = self.lock();
         if active {
@@ -645,8 +506,7 @@ impl Bus {
         }
     }
 
-    /// Sends `payload` from `from` to `to` (creating the link on first
-    /// use).
+    /// Sends `payload` from `from` to `to`.
     pub fn send(&self, from: NodeId, to: NodeId, payload: Bytes) -> Result<(), NetError> {
         let mut inner = self.lock();
         let slot = inner.slot(from).ok_or(NetError::UnknownSender(from))?;
@@ -679,103 +539,30 @@ impl Bus {
         inner.deliver_pending();
     }
 
-    /// A snapshot of the per-link traffic counters.
+    /// The bus-wide traffic totals so far.
     pub fn stats(&self) -> TrafficStats {
-        let inner = self.lock();
-        let mut per_link = BTreeMap::new();
-        for row in inner.rows.iter().filter(|r| r.presence != Presence::Free) {
-            for link in &row.links {
-                per_link.insert(
-                    (row.id, link.to),
-                    LinkTraffic {
-                        bytes_sent: link.bytes_sent,
-                        bytes_delivered: link.bytes_delivered,
-                        messages_sent: link.messages_sent,
-                        messages_dropped: link.messages_dropped,
-                        in_flight: inner
-                            .held
-                            .get(&(row.id, link.to))
-                            .map_or(0, |q| q.len() as u64),
-                    },
-                );
-            }
-        }
-        // A staged message is in flight until the flush delivers it.
-        for &slot in &inner.staged_rows {
-            let Some(row) = inner.rows.get(slot as usize) else {
-                continue;
-            };
-            for mail in inner.mail.iter(row.staged) {
-                if let Some(link) = per_link.get_mut(&(mail.from, row.id)) {
-                    let bytes = mail.payload.as_ref().map_or(0, |p| p.len() as u64);
-                    link.in_flight += 1;
-                    link.bytes_delivered = link.bytes_delivered.saturating_sub(bytes);
-                }
-            }
-        }
-        TrafficStats {
-            per_link,
-            retired: inner.retired,
-        }
+        self.lock().traffic
     }
 }
 
-/// Traffic counters of one directed link.
+/// Bus-wide traffic totals. They count every message since the bus was
+/// made, so they only ever grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LinkTraffic {
-    /// Payload bytes ever sent on the link.
-    pub bytes_sent: u64,
-    /// Payload bytes delivered to the destination inbox.
-    pub bytes_delivered: u64,
-    /// Messages ever sent on the link.
-    pub messages_sent: u64,
-    /// Messages lost to the drop probability, isolation or a destination
-    /// that unregistered while they were in flight.
-    pub messages_dropped: u64,
-    /// Messages currently in flight.
-    pub in_flight: u64,
-}
-
-impl LinkTraffic {
-    /// Adds the counters of a link being forgotten (which has nothing in
-    /// flight).
-    fn absorb(&mut self, link: &Link) {
-        self.bytes_sent += link.bytes_sent;
-        self.bytes_delivered += link.bytes_delivered;
-        self.messages_sent += link.messages_sent;
-        self.messages_dropped += link.messages_dropped;
-    }
-}
-
-/// Aggregated traffic statistics for the whole bus. The per-link view
-/// covers the links that still exist; the bus-wide totals
-/// also include the links forgotten since an end of theirs unregistered,
-/// so they only ever grow.
-#[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
-    per_link: BTreeMap<(NodeId, NodeId), LinkTraffic>,
-    retired: LinkTraffic,
+    sent: u64,
+    dropped: u64,
 }
 
 impl TrafficStats {
-    /// Counters for the directed link `from → to`.
-    pub fn link(&self, from: NodeId, to: NodeId) -> LinkTraffic {
-        self.per_link.get(&(from, to)).copied().unwrap_or_default()
-    }
-
-    /// Total messages sent across all links.
+    /// Total messages sent.
     pub fn total_messages(&self) -> u64 {
-        self.retired.messages_sent + self.per_link.values().map(|l| l.messages_sent).sum::<u64>()
+        self.sent
     }
 
-    /// Total messages lost across all links (faults, isolation).
+    /// Total messages lost: to the drop probability, to isolation, or to a
+    /// destination that left while they were in flight.
     pub fn total_dropped(&self) -> u64 {
-        self.retired.messages_dropped
-            + self
-                .per_link
-                .values()
-                .map(|l| l.messages_dropped)
-                .sum::<u64>()
+        self.dropped
     }
 }
 
@@ -805,7 +592,7 @@ impl Endpoint {
         let row = inner
             .rows
             .get_mut(self.slot as usize)
-            .filter(|r| r.live(self.id))?;
+            .filter(|r| r.id == Some(self.id))?;
         let (from, payload) = inner.mail.pop(&mut row.inbox)?;
         Some(Message {
             from,
@@ -823,7 +610,7 @@ impl Endpoint {
         let Some(row) = inner
             .rows
             .get_mut(self.slot as usize)
-            .filter(|r| r.live(self.id))
+            .filter(|r| r.id == Some(self.id))
         else {
             return;
         };
@@ -854,19 +641,16 @@ impl fmt::Debug for Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roia_rng::{Rng, SplitMix};
 
     impl Bus {
         fn node_count(&self) -> usize {
             let inner = self.lock();
-            inner
-                .rows
-                .iter()
-                .filter(|r| r.presence == Presence::Live)
-                .count()
+            inner.rows.iter().filter(|r| r.id.is_some()).count()
         }
 
         fn link_count(&self) -> usize {
-            self.lock().rows.iter().map(|r| r.links.len()).sum()
+            self.lock().links.len()
         }
     }
 
@@ -944,6 +728,11 @@ mod tests {
         bus.unregister(b.id());
         let err = a.send(b.id(), Bytes::from(Vec::new())).unwrap_err();
         assert_eq!(err, NetError::UnknownNode(b.id()));
+        assert_eq!(
+            bus.stats().total_messages(),
+            0,
+            "a refused send counts nothing"
+        );
     }
 
     #[test]
@@ -959,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_bytes_and_messages() {
+    fn stats_count_messages() {
         let bus = Bus::new();
         let a = bus.register("a");
         let b = bus.register("b");
@@ -967,11 +756,9 @@ mod tests {
         a.send(b.id(), Bytes::from(vec![0u8; 50])).unwrap();
         b.send(a.id(), Bytes::from(vec![0u8; 7])).unwrap();
         let stats = bus.stats();
-        assert_eq!(stats.link(a.id(), b.id()).bytes_sent, 150);
-        assert_eq!(stats.link(a.id(), b.id()).messages_sent, 2);
-        assert_eq!(stats.link(a.id(), b.id()).bytes_delivered, 150);
-        assert_eq!(stats.link(b.id(), a.id()).bytes_sent, 7);
         assert_eq!(stats.total_messages(), 3);
+        assert_eq!(stats.total_dropped(), 0);
+        assert_eq!(bus.link_count(), 0, "a fault-free bus keeps no links");
     }
 
     #[test]
@@ -1006,7 +793,7 @@ mod tests {
             a.send(b.id(), Bytes::copy_from_slice(b"lost")).unwrap();
         }
         assert!(b.try_recv().is_none(), "p=1 loses everything");
-        assert_eq!(bus.stats().link(a.id(), b.id()).messages_dropped, 10);
+        assert_eq!(bus.stats().total_dropped(), 10);
         bus.set_link_faults(0.0, 0);
         a.send(b.id(), Bytes::copy_from_slice(b"post")).unwrap();
         assert!(b.try_recv().is_some());
@@ -1029,6 +816,101 @@ mod tests {
         bus.set_link_faults(0.0, 0);
         a.send(b.id(), Bytes::copy_from_slice(b"healed")).unwrap();
         assert_eq!(&b.try_recv().expect("p = 0 heals").payload[..], b"healed");
+    }
+
+    #[test]
+    fn a_lossy_link_keeps_its_loss_pattern_across_a_heal_and_a_rearm() {
+        // Which of 40 lossy messages arrive when `healed` fault-free ones
+        // go between their two halves.
+        let arrivals = |healed: usize| {
+            let bus = Bus::new();
+            let a = bus.register("a");
+            let b = bus.register("b");
+            bus.set_fault_seed(0x10551);
+            bus.set_link_faults(0.3, 0);
+            for i in 0u8..20 {
+                a.send(b.id(), Bytes::from(vec![i])).unwrap();
+            }
+            bus.set_link_faults(0.0, 0);
+            for _ in 0..healed {
+                a.send(b.id(), Bytes::from(vec![u8::MAX])).unwrap();
+            }
+            assert_eq!(bus.link_count(), 1, "healing keeps the link");
+            bus.set_link_faults(0.3, 0);
+            for i in 20u8..40 {
+                a.send(b.id(), Bytes::from(vec![i])).unwrap();
+            }
+            let got: Vec<u8> = b.drain().iter().map(|m| m.payload[0]).collect();
+            assert_eq!(got.iter().filter(|&&i| i == u8::MAX).count(), healed);
+            let lossy: Vec<u8> = got.into_iter().filter(|&i| i != u8::MAX).collect();
+            (lossy, bus.stats().total_dropped())
+        };
+        let (straight, dropped) = arrivals(0);
+        assert!(straight.len() < 40, "p = 0.3 loses something");
+        assert_eq!(dropped, 40 - straight.len() as u64);
+        assert_eq!(
+            arrivals(25),
+            (straight, dropped),
+            "the fault-free spell draws nothing from the link's generator"
+        );
+    }
+
+    #[test]
+    fn a_link_goes_with_either_end() {
+        let bus = Bus::new();
+        let a = bus.register("a");
+        let b = bus.register("b");
+        let c = bus.register("c");
+        bus.set_link_faults(0.5, 0);
+        for (from, to) in [(&a, &b), (&b, &a), (&c, &a), (&b, &c)] {
+            from.send(to.id(), Bytes::copy_from_slice(b"x")).unwrap();
+        }
+        assert_eq!(bus.link_count(), 4);
+        drop(b);
+        assert_eq!(bus.link_count(), 1, "only c → a is left");
+        bus.unregister(a.id());
+        assert_eq!(bus.link_count(), 0);
+    }
+
+    #[test]
+    fn jitter_held_traffic_outlives_its_sender_but_not_its_receiver() {
+        let bus = Bus::new();
+        let a = bus.register("a");
+        let b = bus.register("b");
+        let c = bus.register("c");
+        bus.set_fault_seed(3);
+        bus.set_link_faults(0.0, 3);
+        for i in 0u8..20 {
+            a.send(b.id(), Bytes::from(vec![i])).unwrap();
+            b.send(c.id(), Bytes::from(vec![i])).unwrap();
+        }
+        let held_for_c = bus
+            .lock()
+            .held
+            .get(&(b.id(), c.id()))
+            .map_or(0, |q| q.len());
+        assert!(held_for_c > 0, "jitter 3 holds something back");
+        let mut got = b.drain();
+        drop(a);
+        drop(c);
+        assert_eq!(bus.link_count(), 0, "both links lost an end");
+        assert_eq!(
+            bus.stats().total_dropped(),
+            0,
+            "held traffic is not lost yet"
+        );
+        for tick in 1..=3 {
+            bus.advance(tick);
+            got.extend(b.drain());
+        }
+        let order: Vec<u8> = got.iter().map(|m| m.payload[0]).collect();
+        assert_eq!(
+            order,
+            (0u8..20).collect::<Vec<_>>(),
+            "a's mail still arrives"
+        );
+        assert_eq!(bus.stats().total_dropped(), held_for_c as u64);
+        assert!(bus.lock().held.is_empty());
     }
 
     #[test]
@@ -1130,7 +1012,7 @@ mod tests {
     fn dropped_endpoint_with_undrained_inbox_leaves_nothing_behind() {
         let bus = Bus::new();
         let a = bus.register("a");
-        let (nodes, links) = (bus.node_count(), bus.link_count());
+        let nodes = bus.node_count();
         let b = bus.register("b");
         let b_id = b.id();
         for _ in 0..3 {
@@ -1140,12 +1022,14 @@ mod tests {
         assert_eq!(a.drain().len(), 1);
         drop(b);
         assert_eq!(bus.node_count(), nodes);
-        assert_eq!(bus.link_count(), links);
+        assert_eq!(bus.lock().index.len(), nodes);
         assert_eq!(
             a.send(b_id, Bytes::copy_from_slice(b"late")),
             Err(NetError::UnknownNode(b_id))
         );
-        assert_eq!(bus.stats().total_messages(), 4, "totals survive the links");
+        let stats = bus.stats();
+        assert_eq!(stats.total_messages(), 4, "totals outlive the node");
+        assert_eq!(stats.total_dropped(), 0, "an unread inbox was delivered");
     }
 
     #[test]
@@ -1156,14 +1040,22 @@ mod tests {
         bus.pause_delivery();
         a.send(b.id(), Bytes::from(vec![0u8; 16])).unwrap();
         bus.unregister(b.id());
-        assert_eq!(bus.link_count(), 1, "a link with traffic in flight stays");
-        let link = bus.stats().link(a.id(), b.id());
-        assert_eq!((link.in_flight, link.bytes_sent), (1, 16));
+        assert_eq!(
+            bus.stats().total_dropped(),
+            1,
+            "staged mail is lost at once"
+        );
+        assert_eq!(bus.node_count(), 1, "the row is free at once");
+        // A new node takes the row before the flush and receives nothing
+        // of what was staged for the old one.
+        let c = bus.register("c");
+        a.send(c.id(), Bytes::copy_from_slice(b"new")).unwrap();
         bus.resume_delivery();
-        assert_eq!(bus.stats().total_dropped(), 1, "in-flight loss is counted");
-        assert_eq!(bus.stats().total_messages(), 1);
-        assert_eq!(bus.link_count(), 0, "drained, and `b` is gone for good");
-        assert_eq!(bus.stats().link(a.id(), b.id()), LinkTraffic::default());
+        let got: Vec<Message> = c.drain();
+        assert_eq!(got.len(), 1);
+        assert_eq!(&got[0].payload[..], b"new");
+        assert_eq!(bus.stats().total_messages(), 2);
+        assert_eq!(bus.stats().total_dropped(), 1);
     }
 
     #[test]
@@ -1177,14 +1069,12 @@ mod tests {
         let a_id = a.id();
         drop(a);
         assert_eq!(bus.node_count(), 1);
-        assert_eq!(bus.link_count(), 1, "the busy link outlives its sender");
         assert_eq!(
             bus.send(a_id, b.id(), Bytes::from(Vec::new())),
             Err(NetError::UnknownSender(a_id))
         );
         bus.resume_delivery();
         assert_eq!(&b.try_recv().unwrap().payload[..], b"last words");
-        assert_eq!(bus.link_count(), 0, "drained, and its sender is gone");
         assert_eq!(bus.stats().total_dropped(), 0);
         assert_eq!(bus.stats().total_messages(), 1);
     }
@@ -1192,19 +1082,21 @@ mod tests {
     #[test]
     fn departed_endpoints_leave_no_links_behind() {
         // Ten thousand clients come, exchange a message with the server
-        // and go — alternately by `unregister` and by dropping the
-        // endpoint. The bus must keep state for live endpoints only,
-        // while its totals stay what they would be had it kept every link.
+        // over lossy links and go — alternately by `unregister` and by
+        // dropping the endpoint. The bus must keep state for live
+        // endpoints only, while its totals count every message.
         let bus = Bus::new();
         let server = bus.register("server");
-        let mut messages = 0u64;
+        bus.set_link_faults(0.25, 0);
+        let (mut messages, mut delivered) = (0u64, 0u64);
         for i in 0..10_000u32 {
             let client = bus.register("client");
             let hello = Bytes::from(vec![0u8; 1 + (i % 7) as usize]);
             messages += 2;
             client.send(server.id(), hello.clone()).unwrap();
             server.send(client.id(), hello).unwrap();
-            assert_eq!(client.drain().len(), 1);
+            delivered += client.drain().len() as u64;
+            assert!(bus.link_count() <= 2);
             if i % 2 == 0 {
                 bus.unregister(client.id());
             }
@@ -1212,14 +1104,66 @@ mod tests {
             assert_eq!(bus.link_count(), 0, "client {i} left links behind");
             assert_eq!(bus.node_count(), 1);
         }
-        assert_eq!(server.drain().len(), 10_000);
+        delivered += server.drain().len() as u64;
         let stats = bus.stats();
         assert_eq!(stats.total_messages(), messages);
-        assert_eq!(stats.total_dropped(), 0);
+        assert_eq!(stats.total_dropped() + delivered, messages);
         // A send to a departed endpoint fails instead of opening a link.
         assert!(server
             .send(NodeId(5), Bytes::copy_from_slice(b"late"))
             .is_err());
         assert_eq!(bus.link_count(), 0);
+    }
+
+    #[test]
+    fn multizone_traffic_on_a_fault_free_bus_keeps_no_links() {
+        // The multizone shape: 16 servers and ≈ 1 300 clients. Each client
+        // sends to its server and hears back, the servers forward to each
+        // other, and between rounds clients migrate, leave and join — in
+        // paused and in synchronous rounds alike.
+        const SERVERS: usize = 16;
+        let bus = Bus::new();
+        let servers: Vec<Endpoint> = (0..SERVERS).map(|_| bus.register("server")).collect();
+        let mut clients: Vec<(Endpoint, usize)> = (0..1_300)
+            .map(|i| (bus.register("client"), i % SERVERS))
+            .collect();
+        let mut rng = SplitMix::new(251);
+        let (mut sent, mut delivered, mut inbox) = (0u64, 0u64, Vec::new());
+        for round in 0..20 {
+            if round % 2 == 1 {
+                bus.pause_delivery();
+            }
+            for (client, home) in &clients {
+                let server = &servers[*home];
+                client.send(server.id(), Bytes::from(vec![1u8])).unwrap();
+                server.send(client.id(), Bytes::from(vec![2u8])).unwrap();
+                sent += 2;
+            }
+            for (i, server) in servers.iter().enumerate() {
+                let next = servers[(i + 1) % SERVERS].id();
+                server.send(next, Bytes::from(vec![3u8])).unwrap();
+                sent += 1;
+            }
+            bus.resume_delivery();
+            for endpoint in servers.iter().chain(clients.iter().map(|(c, _)| c)) {
+                endpoint.drain_into(&mut inbox);
+            }
+            delivered += inbox.len() as u64;
+            inbox.clear();
+            for _ in 0..60 {
+                let i = rng.gen_range(0..clients.len());
+                match rng.gen_range(0..3u32) {
+                    0 => clients[i].1 = rng.gen_range(0..SERVERS),
+                    1 => drop(clients.swap_remove(i)),
+                    _ => clients.push((bus.register("client"), rng.gen_range(0..SERVERS))),
+                }
+            }
+            assert_eq!(bus.link_count(), 0, "round {round}");
+            assert_eq!(bus.node_count(), SERVERS + clients.len());
+            assert_eq!(bus.lock().index.len(), SERVERS + clients.len());
+        }
+        let stats = bus.stats();
+        assert_eq!((stats.total_messages(), stats.total_dropped()), (sent, 0));
+        assert_eq!(delivered, sent);
     }
 }

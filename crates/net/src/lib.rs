@@ -3,7 +3,7 @@
 //! The Real-Time Framework runs application servers and clients as
 //! distributed processes connected by TCP/UDP. This crate provides the
 //! equivalent substrate for an in-process reproduction: a message [`Bus`]
-//! of ideal links with byte accounting for traffic analysis, and endpoints
+//! of ideal links that counts messages sent and dropped, and endpoints
 //! a lock-step driver polls (`recv` or `drain_into` after `advance` or
 //! `resume_delivery`). Frames are [`Bytes`]; a writer that takes its
 //! frames from a [`FramePool`] reuses their storage once the receivers
@@ -13,8 +13,8 @@
 //! (like RTF's TCP connections), the tick they are sent. Two faults can be
 //! injected. [`Bus::set_link_faults`] sets one bus-wide drop probability,
 //! which loses messages, and a jitter window, which holds them back for a
-//! few ticks. [`Bus::set_isolated`] blackholes a node's traffic. Every lost
-//! message is counted in [`TrafficStats`].
+//! few ticks. [`Bus::set_isolated`] blackholes a node's traffic. Every sent
+//! and every lost message is counted in [`TrafficStats`].
 //!
 //! ```
 //! use rtf_net::{Bus, Bytes};
@@ -36,7 +36,7 @@ mod bus;
 mod frame;
 mod link;
 
-pub use bus::{Bus, Endpoint, LinkTraffic, Message, NetError, TrafficStats};
+pub use bus::{Bus, Endpoint, Message, NetError, TrafficStats};
 pub use frame::{Bytes, FramePool};
 
 /// Identifier of a bus endpoint (application server or client connection).

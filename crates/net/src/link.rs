@@ -1,14 +1,15 @@
-//! The counters and fault sampling of one directed link.
+//! Fault sampling of one directed link.
 //!
 //! Links are ideal: a message is due the tick it is sent, and the bus
-//! hands it straight to its destination, so a link keeps no queue. The
-//! bus-wide fault pair ([`Faults`]) may lose a message at send time or
-//! hold it back for up to `jitter_ticks` ticks; only then does the bus
-//! keep a queue for the link, and only until what it holds is due. Faults
-//! are sampled from a per-link deterministic generator seeded by the bus,
-//! so a given seed always loses and delays the same messages.
+//! hands it straight to its destination. The bus-wide fault pair
+//! ([`Faults`]) may lose a message at send time or hold it back for up to
+//! `jitter_ticks` ticks. Faults are sampled from a per-link deterministic
+//! generator seeded by the bus, so a given seed always loses and delays
+//! the same messages. A [`Link`] is that generator: it advances only on a
+//! send that samples loss or jitter, so the bus makes one on the first
+//! such send and none at all on a fault-free bus.
 
-use crate::{Bytes, NodeId};
+use crate::NodeId;
 use roia_rng::{Rng, SplitMix};
 
 /// The bus-wide fault pair every link samples from.
@@ -22,113 +23,40 @@ pub(crate) struct Faults {
     pub(crate) jitter_ticks: u32,
 }
 
-/// What becomes of a message a link takes.
-#[derive(Debug)]
-pub(crate) enum Admitted {
-    /// Due now, with nothing held ahead of it: deliver it.
-    Now(Bytes),
-    /// Jitter holds it (or something ahead of it) until `due_tick`.
-    Held { due_tick: u64, payload: Bytes },
-    /// The drop probability lost it.
-    Lost,
+impl Faults {
+    /// Whether a send samples anything.
+    pub(crate) fn active(&self) -> bool {
+        self.drop_probability > 0.0 || self.jitter_ticks > 0
+    }
 }
 
-/// One directed link, kept in its sender's row: where its destination's
-/// row is, its byte accounting and its fault generator. A link holds no
-/// messages; what jitter holds back waits in the bus.
+/// The fault generator of one directed link.
 #[derive(Debug)]
 pub(crate) struct Link {
-    /// Destination node.
-    pub(crate) to: NodeId,
-    /// Row of `to` when the link was made; the bus checks it still holds
-    /// `to` before delivering (a departed node's row is reused).
-    pub(crate) dest: u32,
-    /// Fault-sampling generator.
     rng: SplitMix,
-    /// Total payload bytes ever sent on this link.
-    pub(crate) bytes_sent: u64,
-    /// Total payload bytes ever delivered from this link. A message staged
-    /// in a paused phase counts here from its send; the bus takes it back
-    /// if the destination leaves before the flush.
-    pub(crate) bytes_delivered: u64,
-    /// Total messages ever sent.
-    pub(crate) messages_sent: u64,
-    /// Messages lost to the drop probability, isolation, or a destination
-    /// that unregistered while they were in flight.
-    pub(crate) messages_dropped: u64,
 }
 
 impl Link {
-    /// A link to `to` (whose row is `dest`) with its fault seed: links of
+    /// The link `from → to` on a bus seeded with `fault_seed`: links of
     /// the same bus get distinct per-pair seeds, so fault patterns are
     /// independent but reproducible.
-    pub(crate) fn new(to: NodeId, dest: u32, seed: u64) -> Self {
+    pub(crate) fn new(fault_seed: u64, from: NodeId, to: NodeId) -> Self {
+        let seed = fault_seed ^ ((from.0 as u64) << 32) ^ (to.0 as u64) ^ 0x5851_F42D_4C95_7F2D;
         Self {
-            to,
-            dest,
-            rng: SplitMix::new(seed),
-            bytes_sent: 0,
-            bytes_delivered: 0,
-            messages_sent: 0,
-            messages_dropped: 0,
+            rng: SplitMix::new(roia_rng::mix(seed)),
         }
     }
 
-    /// Re-seeds the fault generator.
-    pub(crate) fn reseed(&mut self, seed: u64) {
-        self.rng = SplitMix::new(seed);
-    }
-
-    /// Counts a message that was eaten before it was sent (an isolated end
-    /// behaves like an IP blackhole: the sender pays for the send, nothing
-    /// arrives).
-    pub(crate) fn drop_at_send(&mut self, payload_bytes: u64) {
-        self.bytes_sent += payload_bytes;
-        self.messages_sent += 1;
-        self.messages_dropped += 1;
-    }
-
-    /// Takes `payload`, sent at `now_tick`; `faults` may lose or delay it,
-    /// and when `held_ahead` jitter already holds something back on this
-    /// link, it waits behind that. A message due now with nothing held
-    /// ahead of it counts as delivered at once; a held one counts once
-    /// [`Link::released`] says so.
-    pub(crate) fn admit(
-        &mut self,
-        now_tick: u64,
-        payload: Bytes,
-        faults: Faults,
-        held_ahead: bool,
-    ) -> Admitted {
-        self.bytes_sent += payload.len() as u64;
-        self.messages_sent += 1;
+    /// Samples the fate of one message under `faults`: `None` if it is
+    /// lost, else the ticks jitter holds it back.
+    pub(crate) fn sample(&mut self, faults: Faults) -> Option<u64> {
         if faults.drop_probability > 0.0 && self.rng.f64() < faults.drop_probability {
-            self.messages_dropped += 1;
-            return Admitted::Lost;
+            return None;
         }
-        let jitter = if faults.jitter_ticks > 0 {
-            self.rng.next_u64() % (faults.jitter_ticks as u64 + 1)
-        } else {
-            0
-        };
-        if jitter == 0 && !held_ahead {
-            self.bytes_delivered += payload.len() as u64;
-            return Admitted::Now(payload);
+        if faults.jitter_ticks == 0 {
+            return Some(0);
         }
-        Admitted::Held {
-            due_tick: now_tick + jitter,
-            payload,
-        }
-    }
-
-    /// Counts a held message of `bytes` bytes as delivered, or as dropped
-    /// when its destination has left.
-    pub(crate) fn released(&mut self, bytes: u64, delivered: bool) {
-        if delivered {
-            self.bytes_delivered += bytes;
-        } else {
-            self.messages_dropped += 1;
-        }
+        Some(self.rng.next_u64() % (faults.jitter_ticks as u64 + 1))
     }
 }
 
@@ -136,108 +64,51 @@ impl Link {
 mod tests {
     use super::*;
 
-    const IDEAL: Faults = Faults {
-        drop_probability: 0.0,
-        jitter_ticks: 0,
-    };
-
     fn link(seed: u64) -> Link {
-        Link::new(NodeId(1), 1, seed)
-    }
-
-    /// What `admit` makes of each payload: delivered now, held, lost —
-    /// once one is held, the rest wait behind it.
-    fn admit_all(link: &mut Link, payloads: &[Bytes], faults: Faults) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for payload in payloads {
-            match link.admit(0, payload.clone(), faults, counts.1 > 0) {
-                Admitted::Now(_) => counts.0 += 1,
-                Admitted::Held { .. } => counts.1 += 1,
-                Admitted::Lost => counts.2 += 1,
-            }
-        }
-        counts
-    }
-
-    fn frames(n: usize, bytes: usize) -> Vec<Bytes> {
-        (0..n).map(|_| Bytes::from(vec![0u8; bytes])).collect()
+        Link::new(seed, NodeId(0), NodeId(1))
     }
 
     fn lossy(drop_probability: f64) -> Faults {
         Faults {
             drop_probability,
-            ..IDEAL
+            jitter_ticks: 0,
         }
     }
 
-    #[test]
-    fn ideal_link_delivers_at_once() {
-        let mut link = link(0);
-        assert_eq!(admit_all(&mut link, &frames(3, 10), IDEAL), (3, 0, 0));
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let mut link = link(0);
-        admit_all(
-            &mut link,
-            &[Bytes::from(vec![0; 10]), Bytes::from(vec![0; 20])],
-            IDEAL,
-        );
-        assert_eq!(link.bytes_sent, 30);
-        assert_eq!(link.messages_sent, 2);
-        assert_eq!(link.bytes_delivered, 30);
+    /// How many of `n` messages `link` loses.
+    fn lost(link: &mut Link, n: usize, faults: Faults) -> usize {
+        (0..n).filter(|_| link.sample(faults).is_none()).count()
     }
 
     #[test]
     fn lossy_link_drops_a_fraction() {
-        let mut link = link(0xF00D);
-        let (now, held, lost) = admit_all(&mut link, &frames(1000, 1), lossy(0.5));
-        assert_eq!(link.messages_sent, 1000);
-        assert_eq!((held, lost as u64), (0, link.messages_dropped));
+        let lost = lost(&mut link(0xF00D), 1000, lossy(0.5));
         assert!(
             (300..=700).contains(&lost),
             "p=0.5 should lose roughly half, lost {lost}"
         );
-        assert_eq!(now + lost, 1000);
     }
 
     #[test]
     fn loss_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut link = link(seed);
-            admit_all(&mut link, &frames(200, 1), lossy(0.3));
-            link.messages_dropped
-        };
+        let run = |seed: u64| lost(&mut link(seed), 200, lossy(0.3));
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8), "different seeds lose different messages");
     }
 
     #[test]
-    fn jitter_holds_everything_behind_a_held_message() {
+    fn jitter_stays_within_its_window() {
         let faults = Faults {
             drop_probability: 0.0,
             jitter_ticks: 4,
         };
         let mut link = link(99);
-        let (now, held, lost) = admit_all(&mut link, &frames(50, 1), faults);
-        assert!(held > 0, "jitter 4 holds something back");
-        assert_eq!((now + held, lost), (50, 0));
-        assert_eq!(link.bytes_delivered, now as u64);
-        for _ in 0..held {
-            link.released(1, true);
-        }
-        assert_eq!(link.bytes_delivered, 50);
-        link.released(1, false);
-        assert_eq!(link.messages_dropped, 1, "a departed destination loses it");
-    }
-
-    #[test]
-    fn drop_at_send_counts_like_a_blackhole() {
-        let mut link = link(0);
-        link.drop_at_send(64);
-        assert_eq!(link.messages_sent, 1);
-        assert_eq!(link.messages_dropped, 1);
-        assert_eq!(link.bytes_sent, 64);
+        let delays: Vec<u64> = (0..50).filter_map(|_| link.sample(faults)).collect();
+        assert_eq!(delays.len(), 50, "no loss without a drop probability");
+        assert!(delays.iter().all(|&d| d <= 4));
+        assert!(
+            delays.iter().any(|&d| d > 0),
+            "jitter 4 holds something back"
+        );
     }
 }

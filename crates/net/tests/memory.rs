@@ -44,8 +44,8 @@ unsafe impl GlobalAlloc for LiveBytes {
 static ALLOCATOR: LiveBytes = LiveBytes;
 
 /// Live heap bytes may differ by this much between the two readings: the
-/// bus's reused buffers (its row table, the pending list, the server's
-/// inbox and link table) can sit at different capacities.
+/// bus's reused buffers (its row table, id index, mail arena and flush
+/// scratch) can sit at different capacities.
 const SLACK_BYTES: usize = 16 * 1024;
 
 struct Churn {

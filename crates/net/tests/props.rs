@@ -1,31 +1,26 @@
 //! Seeded properties of the bus: in-order delivery with every message
 //! either delivered or counted as dropped under seeded loss and jitter,
-//! exact per-link byte and message accounting, and inbox order and
-//! counters equal to a plain per-link-queue model under pause and resume,
-//! isolation and nodes leaving and joining. Each property runs 256
-//! cases on [`roia_rng::check`], and a failure names the seed that broke
-//! it; the `*_at` function called on a generator with that seed replays
-//! that case alone.
+//! and inbox order and the bus-wide totals equal to a plain
+//! per-link-queue model under pause and resume, isolation and nodes
+//! leaving and joining. Each property runs 256 cases on
+//! [`roia_rng::check`], and a failure names the seed that broke it; the
+//! `*_at` function called on a generator with that seed replays that case
+//! alone.
 
 use roia_rng::{check, Rng, SplitMix, Xoshiro256pp};
-use rtf_net::{Bus, Bytes, Endpoint, LinkTraffic, NetError, NodeId, TrafficStats};
+use rtf_net::{Bus, Bytes, Endpoint, NetError, NodeId, TrafficStats};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// `n` payload sizes in `lo..hi`.
-fn sizes(rng: &mut Xoshiro256pp, n: u64, lo: usize, hi: usize) -> Vec<usize> {
-    (0..n).map(|_| rng.gen_range(lo..hi)).collect()
-}
 
 /// Up to 60 messages on one link under a drop probability below 0.9 and
 /// up to 5 ticks of jitter: each is delivered or dropped, never both or
-/// neither, the survivors arrive in send order with their bytes counted,
-/// and the same fault seed loses and delays the same messages.
+/// neither, the survivors arrive in send order, and the same fault seed
+/// loses and delays the same messages.
 fn lossy_jittery_link_conserves_messages_at(rng: &mut Xoshiro256pp) {
     let count = rng.gen_range(1..61u64);
     let loss = rng.f64() * 0.9;
     let jitter = rng.gen_range(0..6u32);
     let fault_seed = rng.next_u64();
-    let sizes = sizes(rng, count, 1, 200);
+    let sizes: Vec<usize> = (0..count).map(|_| rng.gen_range(1..200)).collect();
     let run = || {
         let bus = Bus::new();
         let a = bus.register("a");
@@ -42,17 +37,13 @@ fn lossy_jittery_link_conserves_messages_at(rng: &mut Xoshiro256pp) {
             bus.advance(tick);
             b.drain_into(&mut received);
         }
-        (received, bus.stats().link(a.id(), b.id()))
+        (received, bus.stats())
     };
-    let (received, link) = run();
-    assert_eq!(link.messages_sent, count);
-    assert_eq!(link.in_flight, 0, "the jitter window has passed");
-    assert_eq!(link.messages_dropped + received.len() as u64, count);
+    let (received, stats) = run();
+    assert_eq!(stats.total_messages(), count);
+    assert_eq!(stats.total_dropped() + received.len() as u64, count);
     let seq: Vec<u8> = received.iter().map(|m| m.payload[0]).collect();
     assert!(seq.windows(2).all(|w| w[0] < w[1]), "send order: {seq:?}");
-    let delivered: usize = received.iter().map(|m| m.payload.len()).sum();
-    assert_eq!(link.bytes_delivered, delivered as u64);
-    assert_eq!(link.bytes_sent, sizes.iter().sum::<usize>() as u64);
     let (again, _) = run();
     assert_eq!(received, again, "a fault seed replays exactly");
 }
@@ -62,51 +53,13 @@ fn lossy_jittery_link_conserves_messages() {
     check(256, lossy_jittery_link_conserves_messages_at);
 }
 
-/// Traffic in both directions between two nodes, and from a third: every
-/// link counts exactly its own bytes and messages, and the bus-wide total
-/// is their sum.
-fn byte_accounting_is_exact_at(rng: &mut Xoshiro256pp) {
-    let bus = Bus::new();
-    let nodes = [bus.register("a"), bus.register("b"), bus.register("c")];
-    let pairs = [(0, 1), (1, 0), (2, 1)];
-    let mut want = Vec::new();
-    for &(from, to) in &pairs {
-        let n = rng.gen_range(0..30u64);
-        let sizes = sizes(rng, n, 1, 300);
-        for &size in &sizes {
-            nodes[from]
-                .send(nodes[to].id(), Bytes::from(vec![0u8; size]))
-                .unwrap();
-        }
-        want.push((n, sizes.iter().sum::<usize>() as u64));
-    }
-    let stats = bus.stats();
-    for (&(from, to), &(n, bytes)) in pairs.iter().zip(&want) {
-        let link = stats.link(nodes[from].id(), nodes[to].id());
-        assert_eq!(link.messages_sent, n, "{from} → {to}");
-        assert_eq!(link.bytes_sent, bytes, "{from} → {to}");
-        assert_eq!(link.bytes_delivered, bytes, "{from} → {to}");
-        assert_eq!((link.messages_dropped, link.in_flight), (0, 0));
-    }
-    let untouched = stats.link(nodes[0].id(), nodes[2].id());
-    assert_eq!(untouched.messages_sent, 0);
-    let total: u64 = want.iter().map(|&(n, _)| n).sum();
-    assert_eq!(stats.total_messages(), total);
-    assert_eq!(stats.total_dropped(), 0);
-}
-
-#[test]
-fn byte_accounting_is_exact() {
-    check(256, byte_accounting_is_exact_at);
-}
-
 /// What the bus must behave like: one FIFO queue per directed link, each
 /// message due `jitter` ticks after its send, an unpaused send delivering
 /// what its own link has due at once, and a flush draining every link's
 /// due prefix in ascending `(from, to)` order. A send to or from an
-/// isolated node is lost at once; a message that falls due after its
-/// destination left is lost, and the destination's unread inbox goes with
-/// it.
+/// isolated node is lost at once. When a destination leaves, its unread
+/// inbox goes and what is due for it (what a pause staged) is lost at
+/// once; what falls due for it later is lost then.
 #[derive(Default)]
 struct Reference {
     now: u64,
@@ -118,12 +71,13 @@ struct Reference {
     isolated: BTreeSet<u32>,
     links: BTreeMap<(u32, u32), RefLink>,
     inboxes: BTreeMap<u32, Vec<(u32, Vec<u8>)>>,
+    sent: u64,
+    dropped: u64,
 }
 
 struct RefLink {
     queue: VecDeque<(u64, Vec<u8>)>,
     rng: SplitMix,
-    traffic: LinkTraffic,
 }
 
 impl Reference {
@@ -134,16 +88,14 @@ impl Reference {
         let link = self.links.entry((from, to)).or_insert_with(|| RefLink {
             queue: VecDeque::new(),
             rng: SplitMix::new(seed),
-            traffic: LinkTraffic::default(),
         });
-        link.traffic.messages_sent += 1;
-        link.traffic.bytes_sent += payload.len() as u64;
+        self.sent += 1;
         if self.isolated.contains(&from) || self.isolated.contains(&to) {
-            link.traffic.messages_dropped += 1;
+            self.dropped += 1;
             return;
         }
         if self.loss > 0.0 && link.rng.f64() < self.loss {
-            link.traffic.messages_dropped += 1;
+            self.dropped += 1;
             return;
         }
         let delay = if self.jitter > 0 {
@@ -166,10 +118,9 @@ impl Reference {
         let inbox = self.inboxes.entry(to).or_default();
         while let Some((_, payload)) = link.queue.pop_front_if(|(due, _)| *due <= now) {
             if live {
-                link.traffic.bytes_delivered += payload.len() as u64;
                 inbox.push((from, payload));
             } else {
-                link.traffic.messages_dropped += 1;
+                self.dropped += 1;
             }
         }
     }
@@ -184,36 +135,17 @@ impl Reference {
     fn leave(&mut self, id: u32) {
         self.live.remove(&id);
         self.inboxes.remove(&id);
-    }
-
-    fn stats(&self) -> BTreeMap<(u32, u32), LinkTraffic> {
-        self.links
-            .iter()
-            .map(|(&key, link)| {
-                let traffic = LinkTraffic {
-                    in_flight: link.queue.len() as u64,
-                    ..link.traffic
-                };
-                (key, traffic)
-            })
-            .collect()
-    }
-
-    /// Checks `stats` link by link where both ends are on the bus, and in
-    /// total over every link ever used.
-    fn check(&self, stats: &TrafficStats) {
-        let want = self.stats();
-        for (&(from, to), want) in &want {
-            if self.live.contains(&from) && self.live.contains(&to) {
-                let got = stats.link(NodeId(from), NodeId(to));
-                assert_eq!(got, *want, "link {from} → {to}");
-            }
+        let into: Vec<(u32, u32)> = self.links.keys().filter(|k| k.1 == id).copied().collect();
+        for (from, to) in into {
+            self.deliver(from, to);
         }
-        let sent: u64 = want.values().map(|l| l.messages_sent).sum();
-        let dropped: u64 = want.values().map(|l| l.messages_dropped).sum();
+    }
+
+    /// Checks the bus-wide totals.
+    fn check(&self, stats: &TrafficStats) {
         assert_eq!(
             (stats.total_messages(), stats.total_dropped()),
-            (sent, dropped),
+            (self.sent, self.dropped),
             "bus-wide totals"
         );
     }
@@ -232,10 +164,9 @@ fn drained(endpoint: &Endpoint) -> Vec<(u32, Vec<u8>)> {
 /// ones joining — which reuses the bus rows of departed nodes, also while
 /// jitter still holds traffic to them — interleaved at random: every
 /// drain returns what the per-link-queue reference model's inbox holds,
-/// in the same order, and `Bus::stats()` equals the model's counters link
-/// by link and in total — during a pause too. A send to or from a
-/// departed node fails and counts nothing, and once everything has drained
-/// the links of departed nodes are forgotten.
+/// in the same order, and `Bus::stats()` equals the model's totals after
+/// every step — during a pause too. A send to or from a departed node
+/// fails and counts nothing.
 fn bus_matches_the_per_link_queue_model_at(rng: &mut Xoshiro256pp) {
     let slots = rng.gen_range(2..7usize);
     let loss = if rng.gen_bool(0.5) {
@@ -283,7 +214,6 @@ fn bus_matches_the_per_link_queue_model_at(rng: &mut Xoshiro256pp) {
                     assert_eq!(drained(endpoint), want, "inbox of slot {i}");
                 }
             }
-            5 => model.check(&bus.stats()),
             6 => {
                 let i = rng.gen_range(0..slots);
                 match endpoints[i].take() {
@@ -330,6 +260,7 @@ fn bus_matches_the_per_link_queue_model_at(rng: &mut Xoshiro256pp) {
                 }
             }
         }
+        model.check(&bus.stats());
     }
     bus.resume_delivery();
     model.paused = false;
@@ -339,14 +270,9 @@ fn bus_matches_the_per_link_queue_model_at(rng: &mut Xoshiro256pp) {
         bus.advance(model.now);
         model.flush();
     }
-    let stats = bus.stats();
-    model.check(&stats);
+    model.check(&bus.stats());
     for (&(from, to), link) in &model.links {
         assert!(link.queue.is_empty(), "link {from} → {to} has drained");
-        if !(model.live.contains(&from) && model.live.contains(&to)) {
-            let got = stats.link(NodeId(from), NodeId(to));
-            assert_eq!(got, LinkTraffic::default(), "{from} → {to} forgotten");
-        }
     }
     for (endpoint, id) in endpoints.iter().zip(&ids) {
         if let Some(endpoint) = endpoint {

@@ -113,7 +113,7 @@ macro_rules! trace_events {
             /// Decode from an already-parsed flat object. Returns `None`
             /// for an unknown event name, a missing field, or a value its
             /// field's type cannot hold.
-            pub fn from_fields(map: &BTreeMap<String, JsonValue>) -> Option<TraceEvent> {
+            fn from_fields(map: &BTreeMap<String, JsonValue>) -> Option<TraceEvent> {
                 fn get<T: Field>(map: &BTreeMap<String, JsonValue>, key: &str) -> Option<T> {
                     T::decode(map.get(key)?)
                 }

@@ -131,7 +131,7 @@ impl FlightRecorder {
     }
 
     /// Directory the bundle with sequence number `seq` lands in.
-    pub fn bundle_dir(&self, seq: u32) -> PathBuf {
+    fn bundle_dir(&self, seq: u32) -> PathBuf {
         self.config.dir.join(format!("postmortem-{seq}"))
     }
 }

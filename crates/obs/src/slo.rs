@@ -6,8 +6,8 @@
 //! *burn rates* — multiples of the budget the observed bad fraction is
 //! consuming. The engine keeps two windows per objective:
 //!
-//! - a **fast window** of the most recent [`FAST_WINDOW_TICKS`] sim
-//!   ticks (one minute of sim-time at the paper's 25 Hz), which reacts
+//! - a **fast window** of the most recent 1 500 sim ticks (one minute
+//!   of sim-time at the paper's 25 Hz), which reacts
 //!   quickly and gates the alert's severity, and
 //! - a **slow window** covering the whole session, which suppresses
 //!   alerts for brief blips that do not endanger the overall budget.
@@ -28,11 +28,11 @@
 use crate::event::TraceEvent;
 
 /// Fast-window length: one minute of sim-time at 25 Hz.
-pub const FAST_WINDOW_TICKS: usize = 1500;
+const FAST_WINDOW_TICKS: usize = 1500;
 
 /// Burn rates are reported in permille (1000 = exactly consuming the
 /// budget); values are clamped here so JSON stays finite and integral.
-pub const MAX_BURN_PM: u64 = 1_000_000_000;
+const MAX_BURN_PM: u64 = 1_000_000_000;
 
 /// Objective name: fraction of server ticks at or over the U budget.
 pub const SLO_TICK_BUDGET: &str = "tick_budget";

@@ -23,9 +23,7 @@ use crate::invariants::{self, PopulationView};
 use crate::parallel;
 use roia_autocal::{OnlineCalibrator, PublishOutcome, RefitReport};
 use roia_model::ScalabilityModel;
-use roia_obs::slo::{
-    SLO_BACKPRESSURE, SLO_INVARIANTS, SLO_JOIN_SHED, SLO_TICK_BUDGET, SLO_TICK_P99,
-};
+use roia_obs::slo::{SLO_INVARIANTS, SLO_JOIN_SHED, SLO_TICK_BUDGET, SLO_TICK_P99};
 use roia_obs::{
     secs_to_micros, AttributionAccumulator, FlightConfig, FlightRecorder, MetricKey,
     MetricsRegistry, RingSink, SloEngine, SloTransition, TraceEvent, Tracer,
@@ -471,15 +469,6 @@ impl Cluster {
                 self.tracer.emit(bundle.into_marker());
             }
         }
-    }
-
-    /// Feeds the transport backpressure duty-cycle objective: `congested`
-    /// of `total` transport server ticks spent with at least one peer
-    /// under backpressure (see `rtf_transport`'s `backpressure_duty`).
-    /// Called by harnesses that pair the cluster with real transport
-    /// sessions; the objective stays silent otherwise.
-    pub fn observe_backpressure(&mut self, congested: u64, total: u64) {
-        self.slo.observe(SLO_BACKPRESSURE, congested, total);
     }
 
     /// The per-term attribution fold accumulated so far (empty until a

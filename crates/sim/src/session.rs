@@ -129,7 +129,7 @@ impl SessionReport {
     /// Per-tick relative prediction error `|pred − obs| / obs` for every
     /// tick where both the model prediction and the observation are
     /// positive.
-    pub fn prediction_errors(&self) -> Vec<(u64, f64)> {
+    fn prediction_errors(&self) -> Vec<(u64, f64)> {
         self.history
             .iter()
             .filter(|h| h.predicted_tick > 0.0 && h.max_tick_duration > 0.0)

@@ -240,3 +240,67 @@ fn permuted_worker_schedules_produce_identical_traces() {
         );
     }
 }
+
+// --- Golden fault streams ---
+//
+// Run-to-run equality cannot see a change that shifts every seeded loss
+// and jitter draw alike in both runs. These sessions pin their trace
+// digests to fixed values, so any change to which messages the bus loses
+// or delays, or when, fails here.
+
+use roia::sim::Fault;
+
+/// A managed session under seeded link faults: 2 % loss (and up to
+/// `jitter` ticks of delay) from the start, loss healed at tick 200 while
+/// users keep joining, loss re-armed at tick 400, and the first server
+/// isolated for 60 ticks from tick 300. Returns the trace digest (FNV-1a
+/// hash, event count).
+fn fault_stream_digest(jitter: u32) -> (u64, u64) {
+    let plan = FaultPlan::quiet(11)
+        .with_link_faults(0.02, jitter)
+        .at(200, Fault::SetLinkLoss(0.0))
+        .at(
+            300,
+            Fault::Isolate {
+                nth: 0,
+                for_ticks: 60,
+            },
+        )
+        .at(400, Fault::SetLinkLoss(0.02));
+    let workload = Ramp {
+        from: 0,
+        to: 90,
+        duration_secs: 20.0,
+    };
+    let (tracer, sink) = Tracer::hashing();
+    let config = ManagedSessionConfig {
+        ticks: 600,
+        max_churn_per_tick: 3,
+        initial_servers: 2,
+        cluster: ClusterConfig {
+            cost_noise: 0.0,
+            ..ClusterConfig::default()
+        },
+        chaos: Some(plan),
+        tracer,
+        ..ManagedSessionConfig::default()
+    };
+    let policy = Box::new(ModelDriven::new(model(), ModelDrivenConfig::default()));
+    run_session(config, policy, &workload);
+    let guard = sink.lock().unwrap_or_else(|e| e.into_inner());
+    (guard.hash(), guard.events())
+}
+
+#[test]
+fn seeded_fault_streams_keep_their_golden_digests() {
+    assert_eq!(
+        fault_stream_digest(0),
+        (0x524f_a9ae_d3f9_576f, 1265),
+        "loss-only arm"
+    );
+    assert_eq!(
+        fault_stream_digest(2),
+        (0x64fc_c7bf_f54f_44cb, 1272),
+        "loss-and-jitter arm"
+    );
+}
